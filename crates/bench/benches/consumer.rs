@@ -1,79 +1,80 @@
 //! Island Consumer layer-execution bench on the vendored harness.
 //!
-//! Measures the software island-granular layer execution with and
+//! Measures one island-executor layer over the physical layout with and
 //! without redundancy removal, across pre-aggregation window widths
-//! `k`, against the accounting-only pass, and — the PR-3 headline —
-//! legacy vs physical-layout execution (the ablations behind Figure 10,
-//! the §3.3.1 design choice and the locality claim).
+//! `k`, with the island chunks fanned across a 2-thread pool, and the
+//! structural accountant's uncached pass (the ablations behind
+//! Figure 10 and the §3.3.1 design choice).
 //!
-//! Formerly a criterion bench (gated out of hermetic builds); now a
-//! plain `harness = false` main over `igcn_bench::harness`.
 //! Run: `cargo bench -p igcn-bench --bench consumer`
 
 use igcn_bench::table::fmt_sig;
 use igcn_bench::{BenchHarness, Table};
-use igcn_core::consumer::hotpath::{self, LayerScratch};
-use igcn_core::consumer::{IslandConsumer, LayerInput};
-use igcn_core::{islandize, ConsumerConfig, IslandLayout, IslandizationConfig};
-use igcn_gnn::Activation;
+use igcn_core::consumer::account::Accountant;
+use igcn_core::consumer::executor::{run_layer, LayerScratch};
+use igcn_core::consumer::LayerInput;
+use igcn_core::{ConsumerConfig, IslandLayout, IslandLocator, IslandizationConfig};
+use igcn_gnn::{Activation, GnnKind, GnnModel, LayerConfig};
 use igcn_graph::generate::HubIslandConfig;
 use igcn_graph::SparseFeatures;
 use igcn_linalg::{DenseMatrix, GcnNormalization};
+use threadpool::ThreadPool;
 
 fn main() {
     let harness = BenchHarness::new(2, 10);
     let g = HubIslandConfig::new(4_000, 160).island_density(0.5).generate(6);
-    let partition = islandize(&g.graph, &IslandizationConfig::default());
-    let x = SparseFeatures::random(4_000, 64, 0.05, 7);
+    let (partition, locator) =
+        IslandLocator::new(&g.graph, &IslandizationConfig::default()).run().expect("converges");
+    let layout = IslandLayout::new(&g.graph, &partition, ConsumerConfig::default().num_pes);
+    let x = SparseFeatures::random(4_000, 64, 0.05, 7).gather_rows(layout.gather_order());
     let w = DenseMatrix::from_vec(64, 16, vec![0.1f32; 64 * 16]);
-    let norm = GcnNormalization::symmetric(&g.graph);
+    let norm = GcnNormalization::symmetric(layout.graph());
+    let mut out = vec![0.0f32; g.graph.num_nodes() * 16];
+    let mut scratch = LayerScratch::new();
 
     let mut table = Table::new(vec!["case", "median (ms)", "p95 (ms)"]);
     let mut record = |label: String, stats: igcn_bench::BenchStats| {
         table.row(vec![label, fmt_sig(stats.median_s() * 1e3), fmt_sig(stats.p95_s() * 1e3)]);
     };
-
-    for redundancy in [true, false] {
-        let cfg = ConsumerConfig::default().with_redundancy_removal(redundancy);
-        let consumer = IslandConsumer::new(&g.graph, &partition, cfg);
-        let label = if redundancy { "layer/with_reuse" } else { "layer/no_reuse" };
-        let stats = harness
-            .run(|| consumer.execute_layer(LayerInput::Sparse(&x), &w, &norm, Activation::Relu));
-        record(label.to_string(), stats);
-    }
-    for k in [2usize, 4, 8] {
-        let cfg = ConsumerConfig::default().with_k(k);
-        let consumer = IslandConsumer::new(&g.graph, &partition, cfg);
-        let stats = harness
-            .run(|| consumer.execute_layer(LayerInput::Sparse(&x), &w, &norm, Activation::Relu));
-        record(format!("layer/k={k}"), stats);
-    }
-    {
-        let consumer = IslandConsumer::new(&g.graph, &partition, ConsumerConfig::default());
-        let stats = harness.run(|| consumer.account_layer(LayerInput::Sparse(&x), 16, &norm));
-        record("account_only".to_string(), stats);
-    }
-    {
-        // The zero-allocation hot path over the physical layout.
-        let cfg = ConsumerConfig::default();
-        let layout = IslandLayout::new(&g.graph, &partition, cfg.num_pes);
-        let hot_norm = GcnNormalization::symmetric(layout.graph());
-        let gathered = x.gather_rows(layout.gather_order());
-        let mut scratch = LayerScratch::new();
-        let mut out = vec![0.0f32; g.graph.num_nodes() * 16];
-        let stats = harness.run(|| {
-            hotpath::execute_layer(
+    let mut layer = |cfg: ConsumerConfig, pool: Option<&ThreadPool>| {
+        harness.run(|| {
+            let input = LayerInput::Sparse(&x);
+            run_layer(
                 &layout,
                 cfg,
-                LayerInput::Sparse(&gathered),
+                input,
                 &w,
-                &hot_norm,
+                &norm,
                 Activation::Relu,
+                pool,
                 &mut scratch,
                 &mut out,
             )
-        });
-        record("layer/hotpath".to_string(), stats);
+        })
+    };
+
+    for redundancy in [true, false] {
+        let cfg = ConsumerConfig::default().with_redundancy_removal(redundancy);
+        let label = if redundancy { "layer/with_reuse" } else { "layer/no_reuse" };
+        record(label.to_string(), layer(cfg, None));
+    }
+    for k in [2usize, 4, 8] {
+        record(format!("layer/k={k}"), layer(ConsumerConfig::default().with_k(k), None));
+    }
+    // Island chunks claimed by two threads (outputs are bit-identical
+    // to the sequential rows).
+    let pool = ThreadPool::new(2);
+    record("layer/hotpath".to_string(), layer(ConsumerConfig::default(), Some(&pool)));
+    {
+        let model = GnnModel::from_layers(
+            GnnKind::Gcn,
+            vec![LayerConfig { in_dim: 64, out_dim: 16, activation: Activation::Relu }],
+            0.0,
+        );
+        let cfg = ConsumerConfig::default();
+        let stats = harness
+            .run(|| Accountant::new(&layout, cfg, &model, &locator).stats(&x, Default::default()));
+        record("account_only".to_string(), stats);
     }
 
     println!("\n# Island Consumer layer execution (4000 nodes, 64→16)\n");

@@ -1,88 +1,52 @@
-//! Single-thread layer-throughput pin of the physical-layout hot path.
+//! Single-thread layer-throughput pin of the island executor, timed
+//! against the plain CSR software reference in the same run.
 //!
-//! PR 3 made the schedule-ordered physical layout the only execution
-//! path and PR 6 deleted the legacy index-indirect code it had beaten.
-//! A live A/B is therefore no longer possible; instead this harness
-//! times the hot path and reports it against the **stored** legacy
-//! baseline in `results/locality_baseline.json`, captured at commit
-//! `eedd04e` immediately before the legacy path was removed (same
-//! graph generator, model, seed and iteration counts).
+//! Both paths run on the same power-law graph, model and features in
+//! one process, so their ratio (`engine_over_reference`) compares like
+//! with like; wall-clock numbers still do not transfer between
+//! machines, so the ratio is recorded, not asserted. What *is* asserted
+//! — the CI smoke contract — is what holds everywhere:
 //!
-//! Wall-clock numbers do not transfer between machines, so the stored
-//! comparison is reported, not asserted. What *is* asserted — the CI
-//! smoke contract — is what holds everywhere:
-//!
+//! * the engine output matches `igcn_gnn::reference_forward` within
+//!   `max |engine − reference| ≤ 1e-4`;
 //! * the timed inference produces **bit-identical** outputs and
-//!   `ExecStats` across repeated runs (the hot path is deterministic);
+//!   `ExecStats` across repeated runs (the executor is deterministic);
 //! * forcing the scalar kernel fallback (`igcn_simd::force_scalar`)
 //!   reproduces the SIMD run **bit for bit** — the end-to-end form of
 //!   the per-kernel identity contract;
-//! * the measured median is finite and non-zero (the harness really
+//! * the measured medians are finite and non-zero (the harness really
 //!   timed work).
 //!
-//! The SIMD-vs-scalar wall-clock ratio is reported alongside the
-//! stored-legacy comparison (informational on a 1-CPU container, where
-//! the scalar loops auto-vectorize).
+//! The SIMD-vs-scalar wall-clock ratio is reported alongside
+//! (informational on a 1-CPU container, where the scalar loops
+//! auto-vectorize).
 //!
 //! Run: `cargo run --release -p igcn-bench --bin layer_hotpath -- --quick`
 
 use igcn_bench::table::fmt_sig;
-use igcn_bench::{results_dir, write_result, BenchHarness, HarnessArgs, Table};
+use igcn_bench::{write_result, BenchHarness, HarnessArgs, Table};
 use igcn_core::IGcnEngine;
-use igcn_gnn::{GnnModel, ModelWeights};
+use igcn_gnn::{reference_forward, GnnModel, ModelWeights};
 use igcn_graph::generate::barabasi_albert;
 use igcn_graph::SparseFeatures;
 use serde::json::{obj, JsonValue};
 
-/// The stored legacy measurement matching this run's `--quick` flag.
-struct Baseline {
-    nodes: u64,
-    legacy_median_s: f64,
-    legacy_p95_s: f64,
-}
-
-fn load_baseline(quick: bool) -> Baseline {
-    let path = results_dir().join("locality_baseline.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let doc =
-        JsonValue::parse(&text).unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
-    let rows = doc.get("rows").and_then(|r| r.as_array()).expect("baseline has rows");
-    let row = rows
-        .iter()
-        .find(|r| r.get("quick").and_then(JsonValue::as_bool) == Some(quick))
-        .unwrap_or_else(|| panic!("no baseline row with quick={quick}"));
-    let f = |key: &str| {
-        row.get(key)
-            .and_then(JsonValue::as_f64)
-            .unwrap_or_else(|| panic!("baseline row lacks {key}"))
-    };
-    Baseline {
-        nodes: row.get("nodes").and_then(JsonValue::as_u64).expect("baseline row lacks nodes"),
-        legacy_median_s: f("legacy_median_s"),
-        legacy_p95_s: f("legacy_p95_s"),
-    }
-}
+/// Largest tolerated `max |engine − reference|`.
+const REFERENCE_TOLERANCE: f32 = 1e-4;
 
 fn main() {
     let args = HarnessArgs::parse();
-    // The 50k-node power-law bin of the serving scaling sweep — the
-    // same shape the stored legacy baseline was captured on.
+    // The 50k-node power-law bin of the serving scaling sweep.
     let n = if args.quick { 4_000 } else { 50_000 };
     let edges_per_node = 8;
     let feature_dim = 32;
     let density = 0.05;
     let graph = barabasi_albert(n, edges_per_node, args.seed);
+    let reference_graph = graph.clone();
     let model = GnnModel::gcn(feature_dim, 16, 8);
     let num_layers = model.num_layers();
     let weights = ModelWeights::glorot(&model, args.seed);
     let x = SparseFeatures::random(n, feature_dim, density, args.seed + 1);
-
-    let baseline = load_baseline(args.quick);
-    assert_eq!(
-        baseline.nodes, n as u64,
-        "stored baseline row was captured on a different graph size"
-    );
 
     eprintln!("[hotpath] islandizing {n} nodes...");
     let engine = IGcnEngine::builder(graph).build().expect("BA graphs are loop-free");
@@ -94,6 +58,12 @@ fn main() {
     let (out_b, stats_b) = engine.run(&x, &model, &weights).expect("hot path runs");
     assert_eq!(out_a, out_b, "hot-path outputs must be bit-identical across runs");
     assert_eq!(stats_a, stats_b, "hot-path ExecStats must be bit-identical across runs");
+    let reference = reference_forward(&reference_graph, &x, &model, &weights);
+    let max_abs_diff = out_a.max_abs_diff(&reference);
+    assert!(
+        max_abs_diff <= REFERENCE_TOLERANCE,
+        "engine output diverges from the reference by {max_abs_diff}"
+    );
 
     // Part 1b: the scalar-fallback kernels are the *same function* in
     // different clothes — forcing them must not move a single bit of
@@ -112,7 +82,11 @@ fn main() {
     let median_s = timed.median_s();
     let p95_s = timed.p95_s();
     let layers_per_s = num_layers as f64 / median_s.max(1e-12);
-    let vs_stored_legacy = baseline.legacy_median_s / median_s.max(1e-12);
+
+    eprintln!("[hotpath] timing the software reference in the same run...");
+    let timed_reference = harness.run(|| reference_forward(&reference_graph, &x, &model, &weights));
+    let reference_median_s = timed_reference.median_s();
+    let engine_over_reference = median_s / reference_median_s.max(1e-12);
 
     // End-to-end A/B against the forced-scalar fallback. Reported, not
     // asserted: on the 1-CPU container the scalar loops auto-vectorize,
@@ -139,16 +113,16 @@ fn main() {
         fmt_sig(num_layers as f64 / scalar_median_s.max(1e-12)),
     ]);
     table.row(vec![
-        "legacy (stored)".to_string(),
-        fmt_sig(baseline.legacy_median_s * 1e3),
-        fmt_sig(baseline.legacy_p95_s * 1e3),
-        fmt_sig(num_layers as f64 / baseline.legacy_median_s.max(1e-12)),
+        "reference_forward".to_string(),
+        fmt_sig(reference_median_s * 1e3),
+        fmt_sig(timed_reference.p95_s() * 1e3),
+        fmt_sig(num_layers as f64 / reference_median_s.max(1e-12)),
     ]);
-    println!("\n# Single-thread layer hot path vs stored legacy baseline (power-law, {n} nodes)\n");
+    println!("\n# Single-thread layer hot path vs the software reference (power-law, {n} nodes)\n");
     println!("{}", table.to_markdown());
     println!(
-        "live median vs stored legacy median: {vs_stored_legacy:.3}x \
-         (informational — baseline captured on a different run of this container class)"
+        "engine / reference median: {engine_over_reference:.3} \
+         (informational — same run, same inputs; max |engine - reference| = {max_abs_diff:e})"
     );
     println!(
         "SIMD vs forced-scalar end to end: {simd_vs_scalar:.3}x \
@@ -159,9 +133,9 @@ fn main() {
         (
             "note",
             JsonValue::Str(
-                "live hot-path timing against the stored legacy baseline in \
-                 locality_baseline.json; recorded on a 1-CPU container, and the baseline was \
-                 captured in a separate run, so the ratio is informational, not asserted"
+                "single-thread engine timing against igcn_gnn::reference_forward on the same \
+                 graph, model and features in the same run; engine_over_reference is \
+                 informational (wall clock), max_abs_diff is asserted <= 1e-4"
                     .to_string(),
             ),
         ),
@@ -199,15 +173,15 @@ fn main() {
         ("layers_per_s", JsonValue::from_f64_rounded(layers_per_s)),
         ("scalar_median_s", JsonValue::from_f64_rounded(scalar_median_s)),
         ("simd_vs_scalar", JsonValue::from_f64_rounded(simd_vs_scalar)),
-        ("stored_legacy_median_s", JsonValue::from_f64_rounded(baseline.legacy_median_s)),
-        ("vs_stored_legacy", JsonValue::from_f64_rounded(vs_stored_legacy)),
+        ("reference_median_s", JsonValue::from_f64_rounded(reference_median_s)),
+        ("engine_over_reference", JsonValue::from_f64_rounded(engine_over_reference)),
+        ("max_abs_diff", JsonValue::Float(f64::from(max_abs_diff))),
     ]);
     let path = write_result("locality_speedup.json", result.encode_pretty().as_bytes());
     eprintln!("wrote {}", path.display());
 
     // The CI smoke contract, part 2: the harness measured real work.
-    assert!(
-        median_s.is_finite() && median_s > 0.0,
-        "hot-path median must be a positive finite time, got {median_s}"
-    );
+    for (what, t) in [("hot-path", median_s), ("reference", reference_median_s)] {
+        assert!(t.is_finite() && t > 0.0, "{what} median must be a positive finite time, got {t}");
+    }
 }

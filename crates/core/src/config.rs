@@ -260,28 +260,13 @@ pub struct ExecConfig {
     /// Fan `infer_batch` requests across the pool (each request then
     /// executes its layers sequentially to avoid nested pools).
     pub parallel_batch: bool,
-    /// Quantize request features to per-column symmetric int8 before
-    /// gathering (LW-GCN-style; see `igcn_linalg::quant`). Values are
-    /// dequantized to f32 before any arithmetic, the CSR structure is
-    /// preserved bit for bit (so `ExecStats` and `account` are
-    /// unaffected), and the dequantization error is bounded by
-    /// `QuantizedFeatures::error_bound`. Default **off**: outputs carry
-    /// the bounded quantization error, so enable only when the 4×
-    /// smaller feature value stream is worth it.
-    pub quantized_features: bool,
 }
 
 impl Default for ExecConfig {
     /// Sequential execution over the physical layout: one thread, both
-    /// fan-out dimensions armed for when the thread count is raised,
-    /// exact f32 features.
+    /// fan-out dimensions armed for when the thread count is raised.
     fn default() -> Self {
-        ExecConfig {
-            num_threads: 1,
-            parallel_islands: true,
-            parallel_batch: true,
-            quantized_features: false,
-        }
+        ExecConfig { num_threads: 1, parallel_islands: true, parallel_batch: true }
     }
 }
 
@@ -306,12 +291,6 @@ impl ExecConfig {
     /// Enables or disables cross-request batch fan-out.
     pub fn with_parallel_batch(mut self, on: bool) -> Self {
         self.parallel_batch = on;
-        self
-    }
-
-    /// Enables or disables the int8 quantized feature path.
-    pub fn with_quantized_features(mut self, on: bool) -> Self {
-        self.quantized_features = on;
         self
     }
 }

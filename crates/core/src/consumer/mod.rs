@@ -1,34 +1,27 @@
 //! The Island Consumer: island-granular combination and aggregation.
 //!
-//! The Island Collector distributes island tasks to PEs; each PE
-//! ([`pe`]) performs PULL-based combination of the island's members
-//! (hub results served by the HUB Matrix XW Cache), pre-aggregates every
-//! `k` consecutive members, and aggregates by scanning the island
-//! adjacency bitmap with the `1×k` window ([`window`]), reusing
-//! pre-aggregated sums for shared neighbors. Island-node outputs complete
-//! locally; hub rows accumulate partial results in the distributed
-//! DHUB-PRC ([`hub_cache`]) over the ring network ([`ring`]). Hub–hub
-//! edges are handled by separate inter-hub tasks in PUSH-outer-product
-//! order, after which hub outputs are finalised.
+//! The Island Collector distributes island tasks to PEs; each island
+//! task performs PULL-based combination of the island's members (hub
+//! results served by the HUB Matrix XW Cache), pre-aggregates every `k`
+//! consecutive members, and aggregates by scanning the island adjacency
+//! bitmap with the `1×k` window ([`window`]), reusing pre-aggregated sums
+//! for shared neighbors. Island-node outputs complete locally; hub rows
+//! accumulate partial results in the DHUB-PRC. Hub–hub edges are handled
+//! by separate inter-hub tasks in PUSH-outer-product order, after which
+//! hub outputs are finalised.
+//!
+//! The module is split by concern: [`executor`] computes the values (one
+//! implementation, shared by the single engine and the sharded fleet),
+//! and [`account`] derives the operation and traffic statistics from the
+//! layout, including the ring network model ([`ring`]).
 
-pub mod hotpath;
-pub mod hub_cache;
-pub mod pe;
+pub mod account;
+pub mod executor;
 pub mod ring;
 pub mod window;
 
-use std::collections::HashMap;
-
-use igcn_gnn::Activation;
-use igcn_graph::{CsrGraph, SparseFeatures};
-use igcn_linalg::{DenseMatrix, GcnNormalization};
-use threadpool::ThreadPool;
-
-use crate::config::ConsumerConfig;
-use crate::error::CoreError;
-use crate::partition::IslandPartition;
-use crate::schedule::IslandSchedule;
-use crate::stats::LayerExecStats;
+use igcn_graph::SparseFeatures;
+use igcn_linalg::DenseMatrix;
 
 /// The input features of one layer: the raw sparse feature matrix for
 /// layer 0, the previous layer's dense output afterwards.
@@ -36,13 +29,6 @@ use crate::stats::LayerExecStats;
 pub enum LayerInput<'a> {
     /// Sparse input features (layer 0).
     Sparse(&'a SparseFeatures),
-    /// Sparse layer-0 features whose *stored* value stream is
-    /// int8-quantized (`ExecConfig::quantized_features`). The rows
-    /// handed to the kernels are already dequantized f32 — arithmetic
-    /// and operation counts are identical to [`LayerInput::Sparse`] —
-    /// but the traffic model charges 1-byte value elements, because
-    /// that is what the feature fetcher actually streams.
-    SparseInt8(&'a SparseFeatures),
     /// Dense intermediate features (layers ≥ 1).
     Dense(&'a DenseMatrix),
 }
@@ -51,7 +37,7 @@ impl LayerInput<'_> {
     /// Number of rows (nodes).
     pub fn num_rows(&self) -> usize {
         match self {
-            LayerInput::Sparse(x) | LayerInput::SparseInt8(x) => x.num_rows(),
+            LayerInput::Sparse(x) => x.num_rows(),
             LayerInput::Dense(m) => m.rows(),
         }
     }
@@ -59,443 +45,8 @@ impl LayerInput<'_> {
     /// Feature width.
     pub fn num_cols(&self) -> usize {
         match self {
-            LayerInput::Sparse(x) | LayerInput::SparseInt8(x) => x.num_cols(),
+            LayerInput::Sparse(x) => x.num_cols(),
             LayerInput::Dense(m) => m.cols(),
         }
-    }
-}
-
-/// Executes GraphCONV layers island by island over a fixed partition.
-///
-/// # Example
-///
-/// ```
-/// use igcn_core::consumer::{IslandConsumer, LayerInput};
-/// use igcn_core::{islandize, ConsumerConfig, IslandizationConfig};
-/// use igcn_gnn::Activation;
-/// use igcn_graph::generate::HubIslandConfig;
-/// use igcn_graph::SparseFeatures;
-/// use igcn_linalg::{DenseMatrix, GcnNormalization};
-///
-/// let g = HubIslandConfig::new(100, 6).noise_fraction(0.0).generate(2);
-/// let p = islandize(&g.graph, &IslandizationConfig::default());
-/// let consumer = IslandConsumer::new(&g.graph, &p, ConsumerConfig::default());
-///
-/// let x = SparseFeatures::random(100, 8, 0.5, 1);
-/// let w = DenseMatrix::zeros(8, 4);
-/// let norm = GcnNormalization::symmetric(&g.graph);
-/// let (out, stats) = consumer.execute_layer(
-///     LayerInput::Sparse(&x), &w, &norm, Activation::Relu);
-/// assert_eq!(out.rows(), 100);
-/// assert_eq!(stats.island_tasks, p.num_islands() as u64);
-/// ```
-#[derive(Debug)]
-pub struct IslandConsumer<'a> {
-    graph: &'a CsrGraph,
-    partition: &'a IslandPartition,
-    cfg: ConsumerConfig,
-    schedule: IslandSchedule,
-}
-
-impl<'a> IslandConsumer<'a> {
-    /// Creates a consumer over `graph` and its `partition`, materialising
-    /// the island issue schedule (waves of `num_pes` islands).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partition was produced for a different node count.
-    pub fn new(graph: &'a CsrGraph, partition: &'a IslandPartition, cfg: ConsumerConfig) -> Self {
-        assert_eq!(graph.num_nodes(), partition.num_nodes(), "partition does not match the graph");
-        let schedule = IslandSchedule::new(graph, partition, cfg.num_pes);
-        IslandConsumer { graph, partition, cfg, schedule }
-    }
-
-    /// The consumer configuration.
-    pub fn config(&self) -> &ConsumerConfig {
-        &self.cfg
-    }
-
-    /// The materialised island issue schedule.
-    pub fn schedule(&self) -> &IslandSchedule {
-        &self.schedule
-    }
-
-    /// Executes one GraphCONV layer, returning the layer output and the
-    /// execution statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input shape does not match the graph or the weight
-    /// matrix.
-    pub fn execute_layer(
-        &self,
-        input: LayerInput<'_>,
-        weights: &DenseMatrix,
-        norm: &GcnNormalization,
-        activation: Activation,
-    ) -> (DenseMatrix, LayerExecStats) {
-        let n = self.graph.num_nodes();
-        assert_eq!(input.num_rows(), n, "input row count does not match the graph");
-        assert_eq!(
-            input.num_cols(),
-            weights.rows(),
-            "input width does not match the weight matrix"
-        );
-        assert_eq!(norm.len(), n, "normalisation does not match the graph");
-
-        let mut ctx = pe::LayerContext::new(input, weights, norm, activation, self.cfg, n);
-        // Weights are loaded once and stay in the on-chip Weight Matrix
-        // Buffers.
-        ctx.stats.traffic.weight_bytes += (weights.rows() * weights.cols() * 4) as u64;
-
-        // Island tasks, issued to PEs wave by wave along the schedule.
-        for wave in self.schedule.waves() {
-            for task_idx in wave {
-                let pe_id = (task_idx % self.cfg.num_pes) as u32;
-                pe::execute_island_task(
-                    &mut ctx,
-                    self.graph,
-                    &self.partition.islands()[task_idx],
-                    pe_id,
-                );
-            }
-            ctx.flush_wave();
-        }
-        ctx.stats.island_tasks = self.partition.num_islands() as u64;
-
-        // Inter-hub tasks in PUSH-outer-product order.
-        pe::execute_inter_hub_tasks(&mut ctx, self.partition.inter_hub_edges());
-        ctx.flush_wave();
-
-        // Finalise hub outputs from their completed partial results.
-        pe::finalize_hubs(&mut ctx, self.partition.hubs());
-
-        ctx.finish()
-    }
-
-    /// Executes one GraphCONV layer with per-island work fanned across
-    /// `pool`, producing output *and statistics* bit-identical to
-    /// [`IslandConsumer::execute_layer`] at any thread count.
-    ///
-    /// Three phases:
-    ///
-    /// 1. the hub XW table — every hub's combination vector, computed in
-    ///    parallel (the software analogue of the HUB Matrix XW Cache
-    ///    being filled once per layer);
-    /// 2. island tasks — pool workers run
-    ///    [`pe::run_island_task`] independently, producing finished
-    ///    island-node rows and hub partial contributions;
-    /// 3. a sequential merge in schedule order that replays all
-    ///    hub-shared state transitions (XW touches, DHUB-PRC
-    ///    accumulation, ring waves), so floating-point accumulation
-    ///    order and every statistic match the sequential path exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::HubTableMiss`] if an island references a hub
-    /// missing from the phase-1 table (impossible for a partition that
-    /// matches the graph; surfaced as an error rather than a worker
-    /// panic for stale callers).
-    ///
-    /// # Panics
-    ///
-    /// As [`IslandConsumer::execute_layer`].
-    pub fn execute_layer_parallel(
-        &self,
-        input: LayerInput<'_>,
-        weights: &DenseMatrix,
-        norm: &GcnNormalization,
-        activation: Activation,
-        pool: &ThreadPool,
-    ) -> Result<(DenseMatrix, LayerExecStats), CoreError> {
-        let n = self.graph.num_nodes();
-        assert_eq!(input.num_rows(), n, "input row count does not match the graph");
-        assert_eq!(
-            input.num_cols(),
-            weights.rows(),
-            "input width does not match the weight matrix"
-        );
-        assert_eq!(norm.len(), n, "normalisation does not match the graph");
-
-        // Phase 1: the hub XW table.
-        let hubs = self.partition.hubs();
-        let hub_vecs = pool.par_map(hubs, |_, &h| pe::combine_values(input, weights, norm, h));
-        let hub_y: HashMap<u32, Vec<f32>> = hubs.iter().copied().zip(hub_vecs).collect();
-
-        // Phase 2: independent island tasks across the pool.
-        let results = pool
-            .par_map(self.partition.islands(), |_, island| {
-                pe::run_island_task(
-                    self.graph, island, input, weights, norm, activation, self.cfg, &hub_y,
-                )
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, CoreError>>()?;
-
-        // Phase 3: sequential merge in schedule order. The context keeps
-        // serving hub vectors from the precomputed table, so the
-        // inter-hub and finalise phases below never recompute a
-        // combination on the merge thread either.
-        let mut ctx = pe::LayerContext::new(input, weights, norm, activation, self.cfg, n);
-        ctx.set_hub_table(&hub_y);
-        ctx.stats.traffic.weight_bytes += (weights.rows() * weights.cols() * 4) as u64;
-        let mut results = results.into_iter();
-        for wave in self.schedule.waves() {
-            for task_idx in wave {
-                let result = results.next().expect("one result per scheduled island");
-                let pe_id = (task_idx % self.cfg.num_pes) as u32;
-                pe::apply_island_task_result(
-                    &mut ctx,
-                    &self.partition.islands()[task_idx],
-                    result,
-                    pe_id,
-                );
-            }
-            ctx.flush_wave();
-        }
-        ctx.stats.island_tasks = self.partition.num_islands() as u64;
-        pe::execute_inter_hub_tasks(&mut ctx, self.partition.inter_hub_edges());
-        ctx.flush_wave();
-        pe::finalize_hubs(&mut ctx, self.partition.hubs());
-        Ok(ctx.finish())
-    }
-
-    /// Computes the statistics [`IslandConsumer::execute_layer`] would
-    /// produce *without* performing any floating-point work — used by the
-    /// hardware timing model on large graphs. Guaranteed (and tested) to
-    /// produce identical counts.
-    pub fn account_layer(
-        &self,
-        input: LayerInput<'_>,
-        out_dim: usize,
-        norm: &GcnNormalization,
-    ) -> LayerExecStats {
-        let n = self.graph.num_nodes();
-        assert_eq!(input.num_rows(), n, "input row count does not match the graph");
-        let mut ctx = pe::AccountContext::new(input, out_dim, norm, self.cfg);
-        ctx.stats.traffic.weight_bytes += (input.num_cols() * out_dim * 4) as u64;
-        for wave in self.schedule.waves() {
-            for task_idx in wave {
-                let pe_id = (task_idx % self.cfg.num_pes) as u32;
-                pe::account_island_task(
-                    &mut ctx,
-                    self.graph,
-                    &self.partition.islands()[task_idx],
-                    pe_id,
-                );
-            }
-            ctx.flush_wave();
-        }
-        ctx.stats.island_tasks = self.partition.num_islands() as u64;
-        pe::account_inter_hub_tasks(&mut ctx, self.partition.inter_hub_edges());
-        ctx.flush_wave();
-        pe::account_finalize_hubs(&mut ctx, self.partition.hubs());
-        ctx.finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::IslandizationConfig;
-    use crate::locator::islandize;
-    use igcn_gnn::{reference_forward_layers, GnnModel, ModelWeights};
-    use igcn_graph::generate::HubIslandConfig;
-
-    fn setup(n: usize, noise: f64, seed: u64) -> (CsrGraph, IslandPartition, SparseFeatures) {
-        let g = HubIslandConfig::new(n, (n / 25).max(2)).noise_fraction(noise).generate(seed);
-        let p = islandize(&g.graph, &IslandizationConfig::default());
-        p.check_invariants(&g.graph).unwrap();
-        let x = SparseFeatures::random(n, 12, 0.4, seed ^ 0xF00D);
-        (g.graph, p, x)
-    }
-
-    #[test]
-    fn layer_matches_reference() {
-        let (g, p, x) = setup(150, 0.0, 1);
-        let model = GnnModel::gcn(12, 6, 6);
-        let w = ModelWeights::glorot(&model, 3);
-        let reference = reference_forward_layers(&g, &x, &model, &w);
-
-        let consumer = IslandConsumer::new(&g, &p, ConsumerConfig::default());
-        let norm = model.normalization(&g);
-        let (out, stats) =
-            consumer.execute_layer(LayerInput::Sparse(&x), w.layer(0), &norm, Activation::Relu);
-        let diff = out.max_abs_diff(&reference[0]);
-        assert!(diff < 1e-4, "islandized layer diverges from reference by {diff}");
-        assert!(stats.aggregation.unpruned_vector_ops > 0);
-    }
-
-    #[test]
-    fn noisy_graph_still_exact() {
-        let (g, p, x) = setup(200, 0.15, 2);
-        let model = GnnModel::gcn(12, 8, 4);
-        let w = ModelWeights::glorot(&model, 5);
-        let reference = reference_forward_layers(&g, &x, &model, &w);
-        let consumer = IslandConsumer::new(&g, &p, ConsumerConfig::default());
-        let norm = model.normalization(&g);
-        let (out, _) =
-            consumer.execute_layer(LayerInput::Sparse(&x), w.layer(0), &norm, Activation::Relu);
-        assert!(out.max_abs_diff(&reference[0]) < 1e-4);
-    }
-
-    #[test]
-    fn redundancy_removal_is_lossless_for_any_k() {
-        let (g, p, x) = setup(120, 0.05, 3);
-        let model = GnnModel::gcn(12, 5, 3);
-        let w = ModelWeights::glorot(&model, 7);
-        let reference = reference_forward_layers(&g, &x, &model, &w);
-        let norm = model.normalization(&g);
-        for k in [2, 3, 4, 8] {
-            let cfg = ConsumerConfig::default().with_k(k);
-            let consumer = IslandConsumer::new(&g, &p, cfg);
-            let (out, _) =
-                consumer.execute_layer(LayerInput::Sparse(&x), w.layer(0), &norm, Activation::Relu);
-            assert!(out.max_abs_diff(&reference[0]) < 1e-4, "k={k} execution diverges");
-        }
-    }
-
-    #[test]
-    fn pruning_reduces_ops_and_ablation_does_not() {
-        let (g, p, x) = setup(250, 0.0, 4);
-        let norm = GcnNormalization::symmetric(&g);
-        let w = DenseMatrix::from_vec(12, 4, vec![0.1; 48]);
-
-        let with = IslandConsumer::new(&g, &p, ConsumerConfig::default());
-        let (_, s_with) = with.execute_layer(LayerInput::Sparse(&x), &w, &norm, Activation::None);
-
-        let without_cfg = ConsumerConfig::default().with_redundancy_removal(false);
-        let without = IslandConsumer::new(&g, &p, without_cfg);
-        let (_, s_without) =
-            without.execute_layer(LayerInput::Sparse(&x), &w, &norm, Activation::None);
-
-        assert_eq!(
-            s_with.aggregation.unpruned_vector_ops,
-            s_without.aggregation.unpruned_vector_ops
-        );
-        assert_eq!(s_without.aggregation.executed_vector_subs, 0);
-        assert!(s_without.aggregation.pruning_rate().abs() < 1e-12);
-        assert!(
-            s_with.aggregation.executed_vector_ops() <= s_without.aggregation.executed_vector_ops(),
-            "redundancy removal must never increase ops"
-        );
-    }
-
-    #[test]
-    fn account_layer_matches_execute_layer() {
-        let (g, p, x) = setup(180, 0.05, 5);
-        let norm = GcnNormalization::symmetric(&g);
-        let w = DenseMatrix::from_vec(12, 6, vec![0.1; 72]);
-        let consumer = IslandConsumer::new(&g, &p, ConsumerConfig::default());
-        let (_, executed) =
-            consumer.execute_layer(LayerInput::Sparse(&x), &w, &norm, Activation::Relu);
-        let accounted = consumer.account_layer(LayerInput::Sparse(&x), 6, &norm);
-        assert_eq!(executed, accounted);
-    }
-
-    #[test]
-    fn parallel_layer_is_bit_identical_to_sequential() {
-        // Outputs AND statistics must match the sequential path exactly,
-        // at every thread count, for both sparse and dense inputs and
-        // for unit and non-unit self-weights (GCN vs GIN normalisation).
-        let (g, p, x) = setup(220, 0.08, 7);
-        for model in [GnnModel::gcn(12, 6, 4), GnnModel::gin(12, 6, 4, 0.3)] {
-            let w = ModelWeights::glorot(&model, 11);
-            let consumer = IslandConsumer::new(&g, &p, ConsumerConfig::default());
-            let norm = model.normalization(&g);
-            let (seq_out, seq_stats) =
-                consumer.execute_layer(LayerInput::Sparse(&x), w.layer(0), &norm, Activation::Relu);
-            for threads in [1, 2, 8] {
-                let pool = threadpool::ThreadPool::new(threads);
-                let (par_out, par_stats) = consumer
-                    .execute_layer_parallel(
-                        LayerInput::Sparse(&x),
-                        w.layer(0),
-                        &norm,
-                        Activation::Relu,
-                        &pool,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    par_out,
-                    seq_out,
-                    "{:?} output diverges at {threads} threads",
-                    model.kind()
-                );
-                assert_eq!(
-                    par_stats,
-                    seq_stats,
-                    "{:?} stats diverge at {threads} threads",
-                    model.kind()
-                );
-            }
-            // Dense (layer ≥ 1) input path.
-            let (l1_seq, l1_seq_stats) = consumer.execute_layer(
-                LayerInput::Dense(&seq_out),
-                w.layer(1),
-                &norm,
-                Activation::None,
-            );
-            let pool = threadpool::ThreadPool::new(4);
-            let (l1_par, l1_par_stats) = consumer
-                .execute_layer_parallel(
-                    LayerInput::Dense(&seq_out),
-                    w.layer(1),
-                    &norm,
-                    Activation::None,
-                    &pool,
-                )
-                .unwrap();
-            assert_eq!(l1_par, l1_seq);
-            assert_eq!(l1_par_stats, l1_seq_stats);
-        }
-    }
-
-    #[test]
-    fn stale_hub_table_is_a_typed_error_not_a_panic() {
-        // A hub table captured before a restructuring (or simply empty)
-        // must surface as `CoreError::HubTableMiss`, not crash a worker.
-        let (g, p, x) = setup(150, 0.0, 9);
-        let island = p.islands().iter().find(|i| !i.hubs.is_empty()).expect("hub-island graph");
-        let w = DenseMatrix::from_vec(12, 4, vec![0.1; 48]);
-        let norm = GcnNormalization::symmetric(&g);
-        let stale: HashMap<u32, Vec<f32>> = HashMap::new();
-        let err = pe::run_island_task(
-            &g,
-            island,
-            LayerInput::Sparse(&x),
-            &w,
-            &norm,
-            Activation::Relu,
-            ConsumerConfig::default(),
-            &stale,
-        )
-        .unwrap_err();
-        assert!(matches!(err, crate::error::CoreError::HubTableMiss { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn schedule_waves_match_pe_count() {
-        let (g, p, _) = setup(150, 0.0, 8);
-        let consumer = IslandConsumer::new(&g, &p, ConsumerConfig::default().with_pes(4));
-        let schedule = consumer.schedule();
-        assert_eq!(schedule.num_islands(), p.num_islands());
-        assert_eq!(schedule.wave_width(), 4);
-        assert_eq!(schedule.num_waves(), p.num_islands().div_ceil(4));
-    }
-
-    #[test]
-    fn dense_input_layer_matches_reference() {
-        let (g, p, x) = setup(100, 0.0, 6);
-        let model = GnnModel::gcn(12, 6, 4);
-        let w = ModelWeights::glorot(&model, 9);
-        let reference = reference_forward_layers(&g, &x, &model, &w);
-        let consumer = IslandConsumer::new(&g, &p, ConsumerConfig::default());
-        let norm = model.normalization(&g);
-        let (l0, _) =
-            consumer.execute_layer(LayerInput::Sparse(&x), w.layer(0), &norm, Activation::Relu);
-        let (l1, _) =
-            consumer.execute_layer(LayerInput::Dense(&l0), w.layer(1), &norm, Activation::None);
-        assert!(l1.max_abs_diff(&reference[1]) < 1e-4);
     }
 }

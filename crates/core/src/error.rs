@@ -86,14 +86,6 @@ pub enum CoreError {
         /// The other endpoint.
         to: u32,
     },
-    /// A parallel island task referenced a hub absent from the
-    /// precomputed hub XW table — the table is stale (e.g. captured
-    /// before a graph update promoted new hubs). Rebuild the table for
-    /// the current partition and retry.
-    HubTableMiss {
-        /// The hub missing from the table.
-        hub: u32,
-    },
     /// A component of the backend (a shard of a fleet, a worker…)
     /// failed mid-request — typically a contained panic. The request
     /// was not served; the backend reports
@@ -149,13 +141,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::MissingEdge { from, to } => {
                 write!(f, "edge ({from}, {to}) is not present in the graph and cannot be removed")
-            }
-            CoreError::HubTableMiss { hub } => {
-                write!(
-                    f,
-                    "hub {hub} is missing from the precomputed hub XW table; \
-                     the table is stale for the current partition"
-                )
             }
             CoreError::BackendFailed { backend, detail } => {
                 write!(f, "backend component {backend} failed: {detail}")

@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex};
 
 use igcn_gnn::{GnnModel, ModelWeights};
 use igcn_graph::{CsrGraph, NodeId, SparseFeatures};
-use igcn_linalg::{DenseMatrix, GcnNormalization, QuantizedFeatures};
+use igcn_linalg::{DenseMatrix, GcnNormalization};
 use threadpool::ThreadPool;
 
 use crate::accel::{
@@ -13,8 +13,9 @@ use crate::accel::{
     InferenceResponse, UpdateReport,
 };
 use crate::config::{ConsumerConfig, ExecConfig, IslandizationConfig};
-use crate::consumer::hotpath::{self, LayerScratch};
-use crate::consumer::{IslandConsumer, LayerInput};
+use crate::consumer::account::{Accountant, AccountantCache};
+use crate::consumer::executor::{run_layer, LayerScratch};
+use crate::consumer::LayerInput;
 use crate::error::CoreError;
 use crate::incremental::apply_update_structural;
 use crate::layout::IslandLayout;
@@ -31,9 +32,6 @@ struct ExecScratch {
     features: SparseFeatures,
     ping: DenseMatrix,
     pong: DenseMatrix,
-    /// Int8 feature staging of the quantized path
-    /// (`ExecConfig::quantized_features`); empty otherwise.
-    quant: QuantizedFeatures,
 }
 
 impl Default for ExecScratch {
@@ -43,7 +41,6 @@ impl Default for ExecScratch {
             features: SparseFeatures::from_rows(0, 0, Vec::new()),
             ping: DenseMatrix::zeros(0, 0),
             pong: DenseMatrix::zeros(0, 0),
-            quant: QuantizedFeatures::default(),
         }
     }
 }
@@ -141,6 +138,9 @@ pub struct IGcnEngine {
     pool: Option<ThreadPool>,
     /// Warm per-request scratch arenas, shared across clones.
     scratch: ScratchPool,
+    /// The structural accountant of the current layout, filled on first
+    /// use; replaced by `prepare` and `apply_update`.
+    accountant: AccountantCache,
 }
 
 /// Configures and builds an [`IGcnEngine`]; created by
@@ -202,6 +202,7 @@ impl IGcnEngineBuilder {
             layout,
             pool,
             scratch: ScratchPool::new(),
+            accountant: AccountantCache::default(),
         })
     }
 }
@@ -280,6 +281,7 @@ impl IGcnEngineBuilder {
             layout: parts.layout,
             pool,
             scratch: ScratchPool::new(),
+            accountant: AccountantCache::default(),
         })
     }
 }
@@ -453,6 +455,7 @@ impl IGcnEngine {
         self.graph = graph;
         self.partition = partition;
         self.locator_stats = stats;
+        self.accountant = AccountantCache::default();
         Ok(reports)
     }
 
@@ -469,12 +472,12 @@ impl IGcnEngine {
         model.normalization(self.layout.graph())
     }
 
-    /// The zero-allocation hot path: gather features into schedule
-    /// order, run every layer over the physical layout with pooled
-    /// scratch arenas (ping-pong activations), scatter the final rows
-    /// back to original node IDs. `pool` carries the per-island
-    /// fan-out (`None` = sequential layers, the path batch-parallel
-    /// requests use to avoid nested pools).
+    /// The execution path: gather features into schedule order, run
+    /// every layer through the island executor with pooled scratch
+    /// arenas (ping-pong activations), scatter the final rows back to
+    /// original node IDs. `pool` carries the island fan-out (`None` =
+    /// sequential layers, the path batch-parallel requests use to avoid
+    /// nested pools).
     fn execute_layout(
         &self,
         norm: &GcnNormalization,
@@ -482,31 +485,13 @@ impl IGcnEngine {
         model: &GnnModel,
         weights: &ModelWeights,
         pool: Option<&ThreadPool>,
-    ) -> Result<(DenseMatrix, ExecStats), CoreError> {
+    ) -> DenseMatrix {
         assert!(!model.layers().is_empty(), "models have at least one layer");
         let layout = &*self.layout;
         let n = self.graph.num_nodes();
-        let mut stats = ExecStats { locator: self.locator_stats.clone(), ..Default::default() };
-        stats.occupancy = layout.schedule().occupancy(pool.map_or(1, ThreadPool::threads));
-
         let mut scratch = self.scratch.take();
-        let ExecScratch { layer: layer_scratch, features: gathered, ping, pong, quant } =
-            &mut scratch;
-        if self.exec_cfg.quantized_features {
-            // Int8 feature path: quantize, then gather *dequantized*
-            // rows so every downstream kernel still accumulates in f32.
-            // The CSR structure is preserved bit for bit, so the
-            // statistics (and `account`) are unaffected; only the
-            // values carry the documented bounded error.
-            quant.quantize_from(features);
-            debug_assert!(
-                quant.max_abs_error(features) <= quant.error_bound(),
-                "quantization error exceeds the documented bound"
-            );
-            quant.gather_rows_into(layout.gather_order(), gathered);
-        } else {
-            features.gather_rows_into(layout.gather_order(), gathered);
-        }
+        let ExecScratch { layer: layer_scratch, features: gathered, ping, pong } = &mut scratch;
+        features.gather_rows_into(layout.gather_order(), gathered);
         let mut src: &mut DenseMatrix = ping;
         let mut dst: &mut DenseMatrix = pong;
         // Trace-tree parent for this request (NONE on untraced paths:
@@ -515,54 +500,26 @@ impl IGcnEngine {
         for (i, layer) in model.layers().iter().enumerate() {
             let w = weights.layer(i);
             dst.resize_in_place(n, w.cols());
-            let input = if i == 0 {
-                if self.exec_cfg.quantized_features {
-                    // The gathered rows are dequantized f32 (identical
-                    // arithmetic), but the value stream behind them is
-                    // int8 — the traffic model charges 1-byte elements.
-                    LayerInput::SparseInt8(gathered)
-                } else {
-                    LayerInput::Sparse(gathered)
-                }
-            } else {
-                LayerInput::Dense(&*src)
-            };
-            // Stage timing only — statistics and outputs are produced
-            // identically whether telemetry is enabled or not.
+            let input =
+                if i == 0 { LayerInput::Sparse(gathered) } else { LayerInput::Dense(&*src) };
+            // Stage timing only — outputs are identical whether
+            // telemetry is enabled or not.
             let _layer_span = igcn_obs::Span::enter(igcn_obs::stage::LAYER_EXECUTE);
             let mut layer_tree_span =
                 igcn_obs::trace::OpenSpan::child(trace_parent, igcn_obs::stage::LAYER_EXECUTE);
             layer_tree_span.tag("layer", i);
             layer_tree_span.tag("waves", layout.schedule().num_waves());
-            let mut layer_stats = match pool {
-                Some(pool) => hotpath::execute_layer_parallel(
-                    layout,
-                    self.consumer_cfg,
-                    input,
-                    w,
-                    norm,
-                    layer.activation,
-                    pool,
-                    layer_scratch,
-                    dst.as_mut_slice(),
-                ),
-                None => hotpath::execute_layer(
-                    layout,
-                    self.consumer_cfg,
-                    input,
-                    w,
-                    norm,
-                    layer.activation,
-                    layer_scratch,
-                    dst.as_mut_slice(),
-                ),
-            };
-            if i == 0 {
-                // The locator's adjacency streaming is charged to layer 0
-                // (restructuring overlaps the first layer's consumption).
-                layer_stats.traffic.adjacency_bytes += self.locator_stats.adjacency_words_read * 4;
-            }
-            stats.layers.push(layer_stats);
+            run_layer(
+                layout,
+                self.consumer_cfg,
+                input,
+                w,
+                norm,
+                layer.activation,
+                pool,
+                layer_scratch,
+                dst.as_mut_slice(),
+            );
             std::mem::swap(&mut src, &mut dst);
         }
 
@@ -573,17 +530,32 @@ impl IGcnEngine {
             out.row_mut(old).copy_from_slice(src.row(new as usize));
         }
         self.scratch.put(scratch);
-        Ok((out, stats))
+        out
     }
 
-    fn execute(
+    /// The statistics of one inference of `model` on `features`, with
+    /// occupancy modelled over `workers` threads: the cached structural
+    /// accountant plus the request's layer-0 feature terms.
+    fn stats(&self, features: &SparseFeatures, model: &GnnModel, workers: usize) -> ExecStats {
+        self.accountant
+            .get(&self.layout, self.consumer_cfg, model, &self.locator_stats)
+            .stats(features, self.layout.schedule().occupancy(workers))
+    }
+
+    /// Wraps an executed request's output with its report.
+    fn respond(
         &self,
-        norm: &GcnNormalization,
-        features: &SparseFeatures,
         model: &GnnModel,
-        weights: &ModelWeights,
-    ) -> Result<(DenseMatrix, ExecStats), CoreError> {
-        self.execute_layout(norm, features, model, weights, self.island_pool())
+        request: &InferenceRequest,
+        output: DenseMatrix,
+        workers: usize,
+    ) -> InferenceResponse {
+        let stats = self.stats(&request.features, model, workers);
+        InferenceResponse {
+            id: request.id,
+            output,
+            report: ExecReport::from_stats(self.name(), &stats),
+        }
     }
 
     /// Runs full-model inference, returning the output features and the
@@ -606,7 +578,8 @@ impl IGcnEngine {
         self.check_features(features, model)?;
         validate_weights(model, weights)?;
         let plan = self.plan(model);
-        self.execute(&plan, features, model, weights)
+        let out = self.execute_layout(&plan, features, model, weights, self.island_pool());
+        Ok((out, self.stats(features, model, self.island_workers())))
     }
 
     /// Computes the statistics [`IGcnEngine::run`] would produce
@@ -623,16 +596,7 @@ impl IGcnEngine {
         model: &GnnModel,
     ) -> Result<ExecStats, CoreError> {
         self.check_features(features, model)?;
-        Ok(account_partitioned(
-            &self.graph,
-            &self.partition,
-            &self.locator_stats,
-            self.consumer_cfg,
-            self.island_workers(),
-            self.exec_cfg.quantized_features,
-            features,
-            model,
-        ))
+        Ok(self.stats(features, model, self.island_workers()))
     }
 
     /// Verifies islandized inference against the plain software
@@ -680,6 +644,7 @@ impl Accelerator for IGcnEngine {
     fn prepare(&mut self, model: &GnnModel, weights: &ModelWeights) -> Result<(), CoreError> {
         validate_weights(model, weights)?;
         self.prepared = Some((model.clone(), weights.clone()));
+        self.accountant = AccountantCache::default();
         Ok(())
     }
 
@@ -688,12 +653,9 @@ impl Accelerator for IGcnEngine {
         validate_request(&self.graph, model, request)?;
         let plan = self.plan(model);
         let _trace = igcn_obs::trace::with_ambient(request.trace);
-        let (output, stats) = self.execute(&plan, &request.features, model, weights)?;
-        Ok(InferenceResponse {
-            id: request.id,
-            output,
-            report: ExecReport::from_stats(self.name(), &stats),
-        })
+        let output =
+            self.execute_layout(&plan, &request.features, model, weights, self.island_pool());
+        Ok(self.respond(model, request, output, self.island_workers()))
     }
 
     fn infer_batch(
@@ -727,13 +689,9 @@ impl Accelerator for IGcnEngine {
                         // Ambient trace context does not cross into pool
                         // threads — re-install each request's own.
                         let _trace = igcn_obs::trace::with_ambient(request.trace);
-                        let (output, stats) =
-                            self.execute_layout(&plan, &request.features, model, weights, None)?;
-                        Ok(InferenceResponse {
-                            id: request.id,
-                            output,
-                            report: ExecReport::from_stats(self.name(), &stats),
-                        })
+                        let output =
+                            self.execute_layout(&plan, &request.features, model, weights, None);
+                        Ok(self.respond(model, request, output, 1))
                     })
                     .into_iter()
                     .collect();
@@ -743,12 +701,14 @@ impl Accelerator for IGcnEngine {
             .iter()
             .map(|request| {
                 let _trace = igcn_obs::trace::with_ambient(request.trace);
-                let (output, stats) = self.execute(&plan, &request.features, model, weights)?;
-                Ok(InferenceResponse {
-                    id: request.id,
-                    output,
-                    report: ExecReport::from_stats(self.name(), &stats),
-                })
+                let output = self.execute_layout(
+                    &plan,
+                    &request.features,
+                    model,
+                    weights,
+                    self.island_pool(),
+                );
+                Ok(self.respond(model, request, output, self.island_workers()))
             })
             .collect()
     }
@@ -803,65 +763,6 @@ fn check_features_for(
     Ok(())
 }
 
-/// The accounting pass shared by [`IGcnEngine::account`] and
-/// [`account_islandized`]: one `account_layer` per model layer, with
-/// the locator's adjacency streaming charged to layer 0.
-///
-/// Public because it defines the *canonical* statistics of the logical
-/// computation independent of how it is executed: `IGcnEngine::run`
-/// produces exactly these numbers (pinned by the `account_matches_run`
-/// tests), and a multi-engine front-end (`igcn-shard`'s
-/// `ShardedEngine`) distributes the same logical work, so it reports
-/// the same statistics through this pass over the global structures.
-///
-/// # Panics
-///
-/// Panics if `partition` or `features` do not match `graph` (callers
-/// validate shapes first).
-#[allow(clippy::too_many_arguments)]
-pub fn account_partitioned(
-    graph: &CsrGraph,
-    partition: &IslandPartition,
-    locator_stats: &crate::stats::LocatorStats,
-    consumer_cfg: ConsumerConfig,
-    island_workers: usize,
-    quantized_features: bool,
-    features: &SparseFeatures,
-    model: &GnnModel,
-) -> ExecStats {
-    let consumer = IslandConsumer::new(graph, partition, consumer_cfg);
-    let norm = model.normalization(graph);
-    let mut stats = ExecStats { locator: locator_stats.clone(), ..Default::default() };
-    stats.occupancy = consumer.schedule().occupancy(island_workers);
-    // Dense layer inputs only matter for their width: reuse one dummy
-    // per distinct hidden width.
-    let mut dense_cache: std::collections::HashMap<usize, DenseMatrix> =
-        std::collections::HashMap::new();
-    for (i, layer) in model.layers().iter().enumerate() {
-        let mut layer_stats = if i == 0 {
-            // Mirror the execution path's layer-0 encoding: the int8
-            // staging changes the value-stream width, and `account`
-            // must price exactly what `run` streams.
-            let input = if quantized_features {
-                LayerInput::SparseInt8(features)
-            } else {
-                LayerInput::Sparse(features)
-            };
-            consumer.account_layer(input, layer.out_dim, &norm)
-        } else {
-            let dense = dense_cache
-                .entry(layer.in_dim)
-                .or_insert_with(|| DenseMatrix::zeros(graph.num_nodes(), layer.in_dim));
-            consumer.account_layer(LayerInput::Dense(dense), layer.out_dim, &norm)
-        };
-        if i == 0 {
-            layer_stats.traffic.adjacency_bytes += locator_stats.adjacency_words_read * 4;
-        }
-        stats.layers.push(layer_stats);
-    }
-    stats
-}
-
 /// Islandizes `graph` and computes the statistics [`IGcnEngine::run`]
 /// would produce, without taking ownership of (or copying) the graph.
 ///
@@ -887,20 +788,12 @@ pub fn account_islandized(
     check_loop_free(graph)?;
     check_features_for(graph, features, model)?;
     let (partition, locator_stats) = IslandLocator::new(graph, &island_cfg).run()?;
+    let layout = IslandLayout::new(graph, &partition, consumer_cfg.num_pes);
+    let accountant = Accountant::new(&layout, consumer_cfg, model, &locator_stats);
     // The borrowed path feeds hardware timing models, so occupancy is
     // modelled over the *PEs* (the engine's own `run`/`account` model it
     // over the configured software threads instead).
-    Ok(account_partitioned(
-        graph,
-        &partition,
-        &locator_stats,
-        consumer_cfg,
-        consumer_cfg.num_pes,
-        // The borrowed path feeds f32 timing models; no int8 staging.
-        false,
-        features,
-        model,
-    ))
+    Ok(accountant.stats(features, layout.schedule().occupancy(consumer_cfg.num_pes)))
 }
 
 #[cfg(test)]
@@ -946,17 +839,6 @@ mod tests {
         let g = CsrGraph::from_undirected_edges(3, &[(0, 0), (0, 1)]).unwrap();
         let err = IGcnEngine::builder(g).build().unwrap_err();
         assert!(matches!(err, CoreError::SelfLoops { node: 0 }));
-    }
-
-    #[test]
-    fn account_matches_run_stats() {
-        let (g, x) = engine_setup(180, 0.05, 3);
-        let engine = IGcnEngine::builder(g).build().unwrap();
-        let model = GnnModel::gcn(10, 8, 4);
-        let w = ModelWeights::glorot(&model, 5);
-        let (_, run_stats) = engine.run(&x, &model, &w).unwrap();
-        let acc_stats = engine.account(&x, &model).unwrap();
-        assert_eq!(run_stats, acc_stats);
     }
 
     #[test]
@@ -1094,89 +976,42 @@ mod tests {
     }
 
     #[test]
-    fn parallel_account_matches_run_stats() {
+    fn occupancy_models_the_serving_path_workers() {
         let (g, x) = engine_setup(200, 0.05, 10);
-        let engine = IGcnEngine::builder(g)
+        let mut engine = IGcnEngine::builder(g)
             .exec_config(ExecConfig::default().with_threads(4))
             .build()
             .unwrap();
         let model = GnnModel::gcn(10, 8, 4);
         let w = ModelWeights::glorot(&model, 13);
-        let (_, run_stats) = engine.run(&x, &model, &w).unwrap();
-        let acc_stats = engine.account(&x, &model).unwrap();
-        assert_eq!(run_stats, acc_stats);
-        assert_eq!(run_stats.occupancy.workers(), 4);
-        assert_eq!(
-            run_stats.occupancy.total_busy(),
-            run_stats.occupancy.worker_busy_cycles.iter().sum::<u64>()
-        );
+        engine.prepare(&model, &w).unwrap();
+        let (_, stats) = engine.run(&x, &model, &w).unwrap();
+        assert_eq!(stats.occupancy.workers(), 4);
+        assert_eq!(stats.occupancy.total_busy(), engine.layout().schedule().total_work());
+        let request = InferenceRequest::new(x);
+        assert_eq!(engine.infer(&request).unwrap().report.num_workers(), 4);
+        assert_eq!(engine.report(&request).unwrap().num_workers(), 4);
+        // Batch fan-out runs each request on one thread.
+        let batch = engine.infer_batch(&[request.clone(), request]).unwrap();
+        assert!(batch.iter().all(|r| r.report.num_workers() == 1));
     }
 
     #[test]
-    fn quantized_feature_path_is_bounded_and_stats_exact() {
-        let (g, x) = engine_setup(220, 0.05, 11);
-        let model = GnnModel::gcn(10, 8, 4);
-        let w = ModelWeights::glorot(&model, 14);
-        let exact_engine = IGcnEngine::builder(g.clone()).build().unwrap();
-        let (exact, exact_stats) = exact_engine.run(&x, &model, &w).unwrap();
-        // `account` == `run`, f32 mode.
-        assert_eq!(exact_engine.account(&x, &model).unwrap(), exact_stats);
-
-        let qengine = IGcnEngine::builder(g)
-            .exec_config(ExecConfig::default().with_quantized_features(true))
-            .build()
-            .unwrap();
-        let (qout, qstats) = qengine.run(&x, &model, &w).unwrap();
-        // `account` == `run`, int8 mode: the value-free accounting twin
-        // prices the same 1-byte value stream the execution streamed.
-        assert_eq!(qengine.account(&x, &model).unwrap(), qstats);
-
-        // Quantization preserves the CSR structure bit for bit, so
-        // every *operation* statistic is unchanged — but the traffic
-        // model now charges 1-byte value elements on layer 0, so its
-        // feature-read bytes must strictly drop while every other
-        // traffic stream and all deeper layers stay identical.
-        assert!(
-            qstats.layers[0].traffic.feature_read_bytes
-                < exact_stats.layers[0].traffic.feature_read_bytes,
-            "int8 staging must shrink the layer-0 value stream"
-        );
-        for (q, e) in qstats.layers.iter().zip(&exact_stats.layers) {
-            assert_eq!(q.combination_ops, e.combination_ops);
-            assert_eq!(q.aggregation, e.aggregation);
-            assert_eq!(q.traffic.adjacency_bytes, e.traffic.adjacency_bytes);
-            assert_eq!(q.traffic.output_write_bytes, e.traffic.output_write_bytes);
-            assert_eq!(q.traffic.weight_bytes, e.traffic.weight_bytes);
-        }
-        assert_eq!(
-            qstats.layers[1..].iter().map(|l| l.traffic.feature_read_bytes).collect::<Vec<_>>(),
-            exact_stats.layers[1..]
-                .iter()
-                .map(|l| l.traffic.feature_read_bytes)
-                .collect::<Vec<_>>(),
-            "layers >= 1 stream dense f32 activations in both modes"
-        );
-
-        // Deterministic: a second quantized run is bit-identical.
-        let (qout2, _) = qengine.run(&x, &model, &w).unwrap();
-        assert_eq!(qout, qout2);
-
-        // The values carry a bounded error. The per-value input bound is
-        // `max_scale/2` ≤ 0.004 for these [0, 1) features; three GCN
-        // layers of glorot weights and degree-normalised aggregation
-        // amplify it by far less than 25× on this graph, so 0.1 is a
-        // comfortable ceiling — while exact equality would mean the knob
-        // did nothing.
-        let input_bound = igcn_linalg::QuantizedFeatures::quantize(&x).error_bound();
-        assert!(input_bound <= 0.004, "input bound {input_bound} implausibly loose");
-        assert_ne!(qout, exact, "quantized path produced bit-identical outputs");
-        let worst = qout
-            .as_slice()
-            .iter()
-            .zip(exact.as_slice())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(worst <= 0.1, "quantized output diverged by {worst}");
+    fn statistics_follow_the_model_asked_for() {
+        // The accountant cache is keyed by model: a direct `run` with a
+        // model other than the prepared one must not see (or evict into
+        // serving) the prepared model's statistics.
+        let (g, x) = engine_setup(180, 0.05, 14);
+        let prepared = GnnModel::gcn(10, 8, 4);
+        let other = GnnModel::gin(10, 6, 3, 0.2);
+        let other_w = ModelWeights::glorot(&other, 16);
+        let mut engine = IGcnEngine::builder(g.clone()).build().unwrap();
+        engine.prepare(&prepared, &ModelWeights::glorot(&prepared, 15)).unwrap();
+        let request = InferenceRequest::new(x.clone());
+        let serving = engine.infer(&request).unwrap().report;
+        let fresh = IGcnEngine::builder(g).build().unwrap();
+        assert_eq!(engine.run(&x, &other, &other_w).unwrap().1, fresh.account(&x, &other).unwrap());
+        assert_eq!(engine.infer(&request).unwrap().report, serving);
     }
 
     #[test]

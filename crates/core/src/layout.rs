@@ -434,6 +434,25 @@ mod tests {
     }
 
     #[test]
+    fn schedule_waves_match_pe_count() {
+        let (g, p) = setup();
+        let layout = IslandLayout::new(&g, &p, 4);
+        let schedule = layout.schedule();
+        assert_eq!(schedule.num_islands(), p.num_islands());
+        assert_eq!(schedule.wave_width(), 4);
+        assert_eq!(schedule.num_waves(), p.num_islands().div_ceil(4));
+    }
+
+    #[test]
+    fn feature_gather_round_trips_through_forward() {
+        let (g, p) = setup();
+        let layout = IslandLayout::new(&g, &p, 8);
+        let x = igcn_graph::SparseFeatures::random(g.num_nodes(), 6, 0.4, 3);
+        let gathered = x.gather_rows(layout.gather_order());
+        assert_eq!(gathered.gather_rows(layout.forward()), x);
+    }
+
+    #[test]
     fn gather_and_forward_are_inverse() {
         let (g, p) = setup();
         let layout = IslandLayout::new(&g, &p, 8);

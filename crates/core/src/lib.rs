@@ -54,7 +54,7 @@ pub use accel::{
     InferenceResponse, UpdateReport,
 };
 pub use config::{ConsumerConfig, DecayPolicy, ExecConfig, IslandizationConfig, ThresholdInit};
-pub use consumer::hotpath::LayerScratch;
+pub use consumer::executor::LayerScratch;
 pub use error::CoreError;
 pub use exec::{EngineParts, IGcnEngine, IGcnEngineBuilder};
 pub use incremental::{incremental_islandize, incremental_update, IncrementalResult};

@@ -14,9 +14,7 @@
 //! Symmetric rounding quantization has per-value absolute error at most
 //! `scale_c / 2`; [`QuantizedFeatures::error_bound`] reports
 //! `max_c scale_c / 2` with a `1e-5` relative slack covering the f32
-//! divide/round/multiply round trip. The bound is asserted in debug
-//! builds every time the engine quantizes a request
-//! (`ExecConfig::quantized_features`) and checked by `kernel_bench`.
+//! divide/round/multiply round trip; `kernel_bench` checks it.
 //!
 //! # What stays exact
 //!
@@ -161,8 +159,7 @@ impl QuantizedFeatures {
 
     /// Dequantizing row gather: rebuilds `out` so its row `i` is the
     /// dequantized row `order[i]`, reusing `out`'s buffers — the
-    /// quantized twin of [`SparseFeatures::gather_rows_into`], used by
-    /// the engine when `ExecConfig::quantized_features` is on.
+    /// quantized twin of [`SparseFeatures::gather_rows_into`].
     ///
     /// # Panics
     ///

@@ -13,37 +13,33 @@
 //! 1. the coordinator combines the **hub XW slab** from the merged hub
 //!    activations (layer 0: the hubs' feature rows) and broadcasts each
 //!    shard its replicated rows — the halo payload;
-//! 2. every shard executes its islands locally
-//!    ([`hotpath::execute_islands_export`]), producing final activated
+//! 2. every shard executes its islands locally with the island
+//!    executor ([`execute_islands`]), producing final activated
 //!    island-node rows plus raw per-(island, hub) contributions;
 //! 3. the coordinator replays the contributions in **global schedule
-//!    order**, then the inter-hub tasks in the layout's legacy replay
-//!    order, and finalises hub rows ([`hotpath::HubMergeState`]) — the
-//!    exact floating-point accumulation order of a single engine, which
-//!    is what makes outputs **bit-identical** at every shard count.
+//!    order**, then the inter-hub tasks in the layout's replay order,
+//!    and finalises hub rows ([`HubMergeState`]) — the exact
+//!    floating-point accumulation order of a single engine, which is
+//!    what makes outputs **bit-identical** at every shard count.
 //!
-//! `ExecStats` are reported through the canonical accounting pass over
-//! the global structures ([`igcn_core::exec::account_partitioned`]) —
-//! the same numbers a single engine's `run` produces, because the
-//! logical computation is the same; the *communication* story of the
-//! cut (replication factor, cut edges, halo bytes) is reported
-//! separately by [`crate::sharder::ShardingReport`] and
+//! A single engine runs the same executor as the one-shard, no-halo
+//! case. `ExecStats` come from the structural accountant over the
+//! global layout, cached per epoch ([`AccountantCache`]) — the same
+//! numbers a single engine reports, because the logical computation is
+//! the same; the *communication* story of the cut (replication factor,
+//! cut edges, halo bytes) is reported separately by
+//! [`crate::sharder::ShardingReport`] and
 //! [`ShardedEngine::halo_bytes_per_inference`].
-//!
-//! [`hotpath::execute_islands_export`]:
-//! igcn_core::consumer::hotpath::execute_islands_export
-//! [`hotpath::HubMergeState`]: igcn_core::consumer::hotpath::HubMergeState
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use igcn_core::accel::{validate_request, validate_weights, UpdateReport};
-use igcn_core::consumer::hotpath::{execute_islands_export, HubMergeState, IslandArena};
-use igcn_core::consumer::pe::combine_values_into;
+use igcn_core::consumer::account::AccountantCache;
+use igcn_core::consumer::executor::{claim_each, execute_islands, HubMergeState, IslandArena};
 use igcn_core::consumer::LayerInput;
-use igcn_core::exec::account_partitioned;
 use igcn_core::incremental::apply_update_structural;
 use igcn_core::partition::NodeClass;
 use igcn_core::stats::{ExecStats, LocatorStats};
@@ -400,13 +396,17 @@ pub struct ShardedEngine {
     pool: Option<ThreadPool>,
     state_pool: Arc<ShardStatePool>,
     health: Arc<HealthBoard>,
+    /// The structural accountant of the global layout, filled on first
+    /// use; replaced by `prepare` and `apply_update`.
+    accountant: AccountantCache,
 }
 
 impl Clone for ShardedEngine {
     /// A clone is an independent fleet: it gets its own health board
     /// (copying current statuses) so marking a shard down in one fleet
-    /// never fails requests in the other. The state pool is shared — it
-    /// is a cache of request-scoped buffers, not fleet state.
+    /// never fails requests in the other. The state pool and the
+    /// accountant cache are shared — they are caches, not fleet state
+    /// (a fleet that restructures or re-prepares installs its own).
     fn clone(&self) -> Self {
         ShardedEngine {
             graph: Arc::clone(&self.graph),
@@ -422,6 +422,7 @@ impl Clone for ShardedEngine {
             pool: self.pool.clone(),
             state_pool: Arc::clone(&self.state_pool),
             health: Arc::new(self.health.duplicate()),
+            accountant: self.accountant.clone(),
         }
     }
 }
@@ -491,6 +492,7 @@ impl ShardedEngine {
             pool,
             state_pool: Arc::new(ShardStatePool::new()),
             health: Arc::new(HealthBoard::new(num_shards)),
+            accountant: AccountantCache::default(),
         };
         if let Some((m, w)) = model {
             engine.prepare_internal(&m, &w)?;
@@ -512,6 +514,7 @@ impl ShardedEngine {
         }
         self.prepared =
             Some(Prepared { model: model.clone(), weights: weights.clone(), norm, shard_norms });
+        self.accountant = AccountantCache::default();
         Ok(())
     }
 
@@ -628,25 +631,13 @@ impl ShardedEngine {
     }
 
     /// The canonical statistics of the logical computation — exactly
-    /// what a single engine's `run` reports (its `account` path, pinned
-    /// equal by the core tests), with occupancy modelled over this
-    /// engine's configured workers.
+    /// what a single engine's `run` reports, from the cached accountant
+    /// of the global layout, with occupancy modelled over this engine's
+    /// configured workers.
     fn stats(&self, features: &SparseFeatures, model: &GnnModel) -> ExecStats {
-        account_partitioned(
-            &self.graph,
-            &self.partition,
-            &self.locator_stats,
-            self.consumer_cfg,
-            self.island_workers(),
-            // The fleet's shard fan-out always streams f32 features —
-            // int8 staging is a single-engine scratch optimisation the
-            // halo exchange does not use — so the canonical accounting
-            // prices f32 regardless of any `quantized_features` flag in
-            // this engine's exec config.
-            false,
-            features,
-            model,
-        )
+        self.accountant
+            .get(&self.layout, self.consumer_cfg, model, &self.locator_stats)
+            .stats(features, self.layout.schedule().occupancy(self.island_workers()))
     }
 
     /// Runs full-model inference across the fleet, returning output
@@ -792,6 +783,7 @@ impl ShardedEngine {
         let num_hubs = layout.num_hubs();
         let lp = layout.partition();
         let n = self.graph.num_nodes();
+        let sw = norm.self_weight();
 
         // Hub input rows for layer 0, in layout hub order.
         let hub_feats = features.gather_rows(&layout.gather_order()[..num_hubs]);
@@ -833,17 +825,9 @@ impl ShardedEngine {
                 igcn_obs::trace::OpenSpan::child(layer_ctx, igcn_obs::stage::HALO_EXCHANGE);
 
             // 1. Hub XW slab from the merged hub activations.
-            {
-                let input = if li == 0 {
-                    LayerInput::Sparse(&hub_feats)
-                } else {
-                    LayerInput::Dense(&hub_acts)
-                };
-                let y = merge.y_mut();
-                for h in 0..num_hubs as u32 {
-                    combine_values_into(input, w, norm, h, &mut y[h as usize * width..][..width]);
-                }
-            }
+            let hub_input =
+                if li == 0 { LayerInput::Sparse(&hub_feats) } else { LayerInput::Dense(&hub_acts) };
+            merge.fill_y(hub_input, w, norm, pool);
 
             // 2. Shard-local island execution (fanned across the pool
             // when one is configured; shard states are disjoint, so the
@@ -858,85 +842,35 @@ impl ShardedEngine {
                 // a panicking shard's state set is discarded wholesale
                 // below — torn &mut state never escapes.
                 let failures: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-                match pool {
-                    Some(pool) if self.shards.len() > 1 => {
-                        let slots: Vec<Mutex<&mut ShardRunState>> =
-                            states.iter_mut().map(Mutex::new).collect();
-                        let next = AtomicUsize::new(0);
-                        let shards = &self.shards;
-                        let failures = &failures;
-                        let worker = || loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= slots.len() {
-                                break;
-                            }
-                            // invariant: each slot is claimed by exactly
-                            // one worker (the fetch_add hands out unique
-                            // indices) and shard panics are caught below
-                            // *inside* the guard's scope, so the lock is
-                            // never contended and never poisoned.
-                            let mut st = slots[i].lock().expect("shard slot lock");
-                            // Pool threads have no ambient trace; the
-                            // layer context crosses by value.
-                            let mut shard_span =
-                                igcn_obs::trace::OpenSpan::child(layer_ctx, "shard_execute");
-                            shard_span.tag("shard", i);
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                run_shard_layer(
-                                    &shards[i],
-                                    &mut st,
-                                    first_layer,
-                                    w,
-                                    &shard_norms[i],
-                                    activation,
-                                    hub_slab,
-                                    width,
-                                    consumer_cfg,
-                                );
-                            }));
-                            if let Err(payload) = outcome {
-                                shard_span.tag("panicked", true);
-                                failures
-                                    .lock()
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                                    .push((i, panic_message(payload)));
-                            }
-                        };
-                        pool.scope(|s| {
-                            for _ in 0..(pool.threads() - 1).min(slots.len() - 1) {
-                                s.spawn(worker);
-                            }
-                            worker();
-                        });
+                let mut lanes = vec![(); pool.map_or(1, ThreadPool::threads)];
+                let items: Vec<&mut ShardRunState> = states.iter_mut().collect();
+                claim_each(pool, &mut lanes, items, |_, i, st| {
+                    // Pool threads have no ambient trace; the layer
+                    // context crosses by value.
+                    let mut shard_span =
+                        igcn_obs::trace::OpenSpan::child(layer_ctx, "shard_execute");
+                    shard_span.tag("shard", i);
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        run_shard_layer(
+                            &self.shards[i],
+                            st,
+                            first_layer,
+                            w,
+                            &shard_norms[i],
+                            activation,
+                            hub_slab,
+                            width,
+                            consumer_cfg,
+                        );
+                    }));
+                    if let Err(payload) = outcome {
+                        shard_span.tag("panicked", true);
+                        failures
+                            .lock()
+                            .unwrap_or_else(|poisoned| poisoned.into_inner())
+                            .push((i, panic_message(payload)));
                     }
-                    _ => {
-                        for (i, st) in states.iter_mut().enumerate() {
-                            let mut shard_span =
-                                igcn_obs::trace::OpenSpan::child(layer_ctx, "shard_execute");
-                            shard_span.tag("shard", i);
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                run_shard_layer(
-                                    &self.shards[i],
-                                    st,
-                                    first_layer,
-                                    w,
-                                    &shard_norms[i],
-                                    activation,
-                                    hub_slab,
-                                    width,
-                                    consumer_cfg,
-                                );
-                            }));
-                            if let Err(payload) = outcome {
-                                shard_span.tag("panicked", true);
-                                failures
-                                    .lock()
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                                    .push((i, panic_message(payload)));
-                            }
-                        }
-                    }
-                }
+                });
                 let mut failed = failures.into_inner().unwrap_or_else(|p| p.into_inner());
                 if !failed.is_empty() {
                     failed.sort_unstable_by_key(|&(i, _)| i);
@@ -963,24 +897,13 @@ impl ShardedEngine {
             // 3. Halo collect: replay every island's hub contributions
             // in global schedule order, then the inter-hub tasks —
             // exactly the single engine's accumulation order.
-            for wave in layout.schedule().waves() {
-                for gi in wave {
-                    let (s, j) = self.island_home[gi];
-                    let shard = &self.shards[s as usize];
-                    let st = &states[s as usize];
-                    let base = shard.island_hub_offsets[j as usize];
-                    for (jj, &h) in lp.islands()[gi].hubs.iter().enumerate() {
-                        merge.ensure_partial(h, norm.self_weight());
-                        merge.accumulate(h, &st.contrib[(base + jj) * width..][..width]);
-                    }
-                }
+            for (gi, island) in lp.islands().iter().enumerate() {
+                let (s, j) = self.island_home[gi];
+                let offsets = &self.shards[s as usize].island_hub_offsets;
+                let slots = offsets[j as usize] * width..offsets[j as usize + 1] * width;
+                merge.merge_island(&island.hubs, &states[s as usize].contrib[slots], sw);
             }
-            for (src, dests) in layout.inter_hub_tasks() {
-                for &d in dests {
-                    merge.ensure_partial(d, norm.self_weight());
-                    merge.accumulate_from_y(d, *src);
-                }
-            }
+            merge.inter_hub(layout.inter_hub_tasks(), sw);
 
             // 4. Finalise hub rows — next layer's halo payload.
             hub_acts.resize_in_place(num_hubs, width);
@@ -1122,6 +1045,7 @@ impl ShardedEngine {
         self.shards = shards;
         self.island_home = island_home;
         self.state_pool.clear();
+        self.accountant = AccountantCache::default();
         // The fleet may have shrunk (shard count clamps to the island
         // count); size the health board to the committed fleet.
         self.health.reset(self.shards.len());
@@ -1350,6 +1274,7 @@ impl ShardedEngine {
             pool,
             state_pool: Arc::new(ShardStatePool::new()),
             health: Arc::new(HealthBoard::new(num_shards)),
+            accountant: AccountantCache::default(),
         };
         if let Some((model, weights)) = &coordinator.model {
             engine.prepare_internal(model, weights)?;
@@ -1519,7 +1444,7 @@ fn run_shard_layer(
     // `IGcnEngine::execute` — record the same stage the single-engine
     // path does so `layer_execute` covers both serving shapes.
     let _layer_span = igcn_obs::Span::enter(igcn_obs::stage::LAYER_EXECUTE);
-    execute_islands_export(
+    execute_islands(
         shard.engine.layout(),
         consumer_cfg,
         input,
@@ -1527,10 +1452,10 @@ fn run_shard_layer(
         norm,
         activation,
         hub_y,
+        0..shard.islands.len(),
         arena,
         node_out,
         contrib,
-        &shard.island_hub_offsets,
     );
 }
 

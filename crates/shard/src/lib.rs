@@ -97,6 +97,19 @@ mod tests {
     }
 
     #[test]
+    fn fleet_report_matches_infer_and_the_single_engine() {
+        let (graph, model, weights, x) = setup(5);
+        let engine = single(&graph, &model, &weights);
+        let fleet = ShardedEngine::from_engine(&engine, 2).unwrap();
+        let request = InferenceRequest::new(x);
+        let report = fleet.report(&request).unwrap();
+        assert_eq!(fleet.infer(&request).unwrap().report, report);
+        let mut single_report = engine.report(&request).unwrap();
+        single_report.backend = report.backend.clone();
+        assert_eq!(report, single_report, "the fleet accounts the same logical work");
+    }
+
+    #[test]
     fn shard_partitions_satisfy_invariants() {
         let (graph, model, weights, _) = setup(5);
         let reference = single(&graph, &model, &weights);

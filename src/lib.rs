@@ -124,15 +124,29 @@
 //! per-island adjacency bitmaps, and the inter-hub task list in legacy
 //! replay order.
 //!
-//! Execution over the layout uses the zero-allocation hot path
-//! ([`core::consumer::hotpath`]): one flat row-major
-//! [`core::LayerScratch`] arena per worker — pooled by the engine and
-//! reused across layers, islands, batch requests and `infer` calls —
-//! with hub XW vectors and hub partial results in dense slabs indexed
-//! by the compact hub IDs instead of `HashMap`s. On the 50k-node
-//! power-law serving bin this is a ~3.8× single-thread layer-throughput
-//! win (`results/locality_speedup.json`, reproducible with
-//! `cargo run --release -p igcn-bench --bin layer_hotpath`).
+//! Execution over the layout goes through **one island executor**
+//! ([`core::consumer::executor`]): per layer, the hub XW slab is filled
+//! once, [`core::consumer::executor::execute_islands`] runs island
+//! tasks (combination, pre-aggregation, the `1×k` window scan) into
+//! finished island-node rows plus per-(island, hub) contributions, and
+//! [`core::consumer::executor::HubMergeState`] merges those in schedule
+//! order, replays the inter-hub tasks and finalises the hub rows. Island
+//! arenas are flat row-major buffers, one per worker, pooled in the
+//! engine's [`core::LayerScratch`] and reused across layers, batch
+//! requests and `infer` calls; hub vectors and partial results live in
+//! dense slabs indexed by the compact hub IDs. A single engine is the
+//! one-shard, no-halo case of this executor; with threads, its island
+//! chunks are claimed through the same fan-out seam the sharded fleet
+//! uses for its shards.
+//!
+//! The executor computes values only. `ExecStats` come from **one
+//! structural accountant** ([`core::consumer::account`]): it walks the
+//! layout's prebuilt bitmaps once per (layout, model) — window-scan
+//! decisions, pre-aggregation, XW-cache first touches, DHUB-PRC banks
+//! and the ring model — and the engine caches the result until the next
+//! `prepare` or `apply_update`. Per request it only adds layer 0's
+//! feature-dependent terms (MACs and feature bytes, from per-row
+//! non-zero counts).
 //!
 //! **The ID remap contract:** requests and responses always speak
 //! *original* node IDs. Request features are gathered into schedule
@@ -141,12 +155,13 @@
 //! order, and only the final layer's rows are scattered back
 //! (`IslandLayout::forward`). The layout is a pure locality
 //! optimisation: outputs and `ExecStats` are **bit-identical** at every
-//! thread count — pinned by the conformance suite's thread sweep, with
-//! the sequential `IslandConsumer` kept as the layer-level oracle in
-//! the hotpath tests. (The legacy index-indirect *engine* path it used
-//! to power was retired in PR 6 after soaking since PR 3; its timings
-//! live on in `results/locality_baseline.json`, which `layer_hotpath`
-//! now reports against instead of a live A/B.)
+//! thread count — pinned by the conformance suite's thread sweep and
+//! the executor's own tests, with `igcn_gnn::reference_forward_layers`
+//! as the per-layer output oracle and a golden table of statistics
+//! (`tests/golden_stats.rs`). `cargo run --release -p igcn-bench --bin
+//! layer_hotpath` times the executor against
+//! `igcn_gnn::reference_forward` on the same inputs in the same run
+//! (`results/locality_speedup.json`).
 //!
 //! For a serving deployment, wrap any prepared backend in a
 //! [`serve::ServingEngine`]: a bounded request queue (backpressure) in
@@ -220,17 +235,10 @@
 //! AVX2 / NEON, at every thread and shard count — pinned by unit tests
 //! in `igcn-simd`/`igcn-linalg` and the conformance fallback sweep.
 //!
-//! **Quantized features** ([`linalg::QuantizedFeatures`],
-//! `ExecConfig::with_quantized_features`): request features can be
-//! staged as per-column symmetric int8 (`scale_c = max|v|/127`),
-//! dequantized to f32 before any arithmetic. The CSR structure is
-//! preserved bit for bit — every statistic and `account()` are
-//! unchanged — while values carry absolute error at most
-//! `max_c scale_c / 2` (≈ 0.004 for `[0, 1)` features), with the bound
-//! debug-asserted on every quantized request. Default **off**; enable
-//! it when the 4×-smaller feature value stream matters more than exact
-//! f32 inputs (bandwidth-bound first layers on sparse real-world
-//! features).
+//! [`linalg::QuantizedFeatures`] (per-column symmetric int8,
+//! `scale_c = max|v|/127`) is a standalone kernel study: the engine
+//! streams f32 features, and `kernel_bench` checks the quantizer
+//! against its documented error bound.
 //!
 //! `cargo run --release -p igcn-bench --bin kernel_bench` records
 //! scalar-vs-SIMD-vs-blocked A/B medians per kernel and size bin to
@@ -342,15 +350,18 @@
 //!   servable, snapshot-able, and structurally valid (its partition
 //!   passes the full islandization invariants). Per layer, the
 //!   coordinator broadcasts the hub XW rows (the halo payload), shards
-//!   compute their islands locally, and the coordinator merges the
-//!   exported per-island hub contributions. Normalisation scales always
-//!   come from *global* degrees (the halo truncates replicated-hub
-//!   degrees, so shards never recompute scales locally).
+//!   run their islands through the same island executor a single engine
+//!   uses, and the coordinator merges the exported per-island hub
+//!   contributions in global schedule order. `ExecStats` come from the
+//!   same structural accountant over the global layout, cached on the
+//!   fleet per epoch — no per-request statistics pass. Normalisation
+//!   scales always come from *global* degrees (the halo truncates
+//!   replicated-hub degrees, so shards never recompute scales locally).
 //!
 //! * **The determinism guarantee.** Shard-local IDs are
 //!   order-isomorphic to the global layout IDs and the merge replays
 //!   contributions in the global schedule order — the exact seam the
-//!   single engine's thread-parallel path already uses — so outputs
+//!   single engine's own layers use — so outputs
 //!   *and* `ExecStats` are **bit-identical** to a single engine at
 //!   every shard count and thread count, before and after routed
 //!   [`core::GraphUpdate`]s, and after a manifest round trip (pinned by
