@@ -2,7 +2,8 @@
 //!
 //! Measures one island-executor layer over the physical layout with and
 //! without redundancy removal, across pre-aggregation window widths
-//! `k`, with the island chunks fanned across a 2-thread pool, and the
+//! `k`, with the island chunks fanned across a 2-thread pool, plus the
+//! per-epoch costs a layer replays: the scan plan's build and the
 //! structural accountant's uncached pass (the ablations behind
 //! Figure 10 and the §3.3.1 design choice).
 //!
@@ -12,6 +13,7 @@ use igcn_bench::table::fmt_sig;
 use igcn_bench::{BenchHarness, Table};
 use igcn_core::consumer::account::Accountant;
 use igcn_core::consumer::executor::{run_layer, LayerScratch};
+use igcn_core::consumer::plan::ScanPlan;
 use igcn_core::consumer::LayerInput;
 use igcn_core::{ConsumerConfig, IslandLayout, IslandLocator, IslandizationConfig};
 use igcn_gnn::{Activation, GnnKind, GnnModel, LayerConfig};
@@ -37,11 +39,13 @@ fn main() {
         table.row(vec![label, fmt_sig(stats.median_s() * 1e3), fmt_sig(stats.p95_s() * 1e3)]);
     };
     let mut layer = |cfg: ConsumerConfig, pool: Option<&ThreadPool>| {
+        // The plan is built once per epoch, outside the timed layer.
+        let plan = ScanPlan::build(&layout, cfg.k, cfg.redundancy_removal, true);
         harness.run(|| {
             let input = LayerInput::Sparse(&x);
             run_layer(
                 &layout,
-                cfg,
+                &plan,
                 input,
                 &w,
                 &norm,
@@ -65,6 +69,8 @@ fn main() {
     // to the sequential rows).
     let pool = ThreadPool::new(2);
     record("layer/hotpath".to_string(), layer(ConsumerConfig::default(), Some(&pool)));
+    let plan = harness.run(|| ScanPlan::build(&layout, 4, true, true));
+    record("scan_plan_build".to_string(), plan);
     {
         let model = GnnModel::from_layers(
             GnnKind::Gcn,

@@ -1,9 +1,10 @@
 //! `kernel_bench` — scalar vs SIMD vs blocked A/B micro-benchmarks.
 //!
-//! Measures the vendored `igcn-simd`-backed kernels against their
-//! forced-scalar fallbacks (`igcn_simd::force_scalar`) and the blocked
-//! GEMM against a textbook triple loop, then records per-kernel,
-//! per-size-bin medians to `results/kernel_speedup.json`:
+//! Measures the vendored `igcn-simd`-backed kernels (axpy, scale,
+//! blocked GEMM and the island executor's whole-row gather-accumulate)
+//! against their forced-scalar fallbacks (`igcn_simd::force_scalar`)
+//! and the blocked GEMM against a textbook triple loop, then records
+//! per-kernel, per-size-bin medians to `results/kernel_speedup.json`:
 //!
 //! * `kernels` — rows of `{kernel, bin, n, scalar_median_ns,
 //!   simd_median_ns, speedup}` (for the `gemm_vs_naive` row "scalar"
@@ -28,7 +29,7 @@
 use igcn_bench::table::fmt_sig;
 use igcn_bench::{write_result, BenchHarness, HarnessArgs, Table};
 use igcn_graph::SparseFeatures;
-use igcn_linalg::kernels::{axpy_f32, gemm_blocked_into, scale_f32};
+use igcn_linalg::kernels::{axpy_f32, gather_axpy_f32, gemm_blocked_into, scale_f32};
 use igcn_linalg::QuantizedFeatures;
 use serde::json::{obj, JsonValue};
 
@@ -219,6 +220,60 @@ fn bench_gemm(harness: &BenchHarness, rows: &mut Vec<AbRow>) {
     }
 }
 
+/// The island executor's row kernel: `width`-wide output rows, each a
+/// gather-accumulate of `terms` rows of a 512-row table (the shapes of
+/// a sparse combination row and of a scanned bitmap row). The forced
+/// scalar fallback is checked bitwise against the vector path first.
+fn bench_gather(harness: &BenchHarness, rows: &mut Vec<AbRow>) {
+    const TABLE_ROWS: usize = 512;
+    let bins = [(3usize, 8usize), (16, 48), (64, 32)];
+    for &(width, terms) in bins.iter() {
+        let mut seed = 0x0bad_5eed_1234_abcd ^ (width * terms) as u64;
+        let mut table = vec![0.0f32; TABLE_ROWS * width];
+        fill(&mut table, &mut seed);
+        let mut alpha = vec![0.0f32; terms];
+        fill(&mut alpha, &mut seed);
+        let idx: Vec<u32> = (0..terms)
+            .map(|_| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                (seed % TABLE_ROWS as u64) as u32
+            })
+            .collect();
+        let mut simd_out = vec![0.5f32; width];
+        gather_axpy_f32(&mut simd_out, &table, width, &idx, &alpha);
+        igcn_simd::force_scalar(true);
+        let mut scalar_out = vec![0.5f32; width];
+        gather_axpy_f32(&mut scalar_out, &table, width, &idx, &alpha);
+        igcn_simd::force_scalar(false);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&simd_out),
+            bits(&scalar_out),
+            "gather_axpy SIMD and scalar paths diverged at width {width}, {terms} terms"
+        );
+
+        let mut out = vec![0.0f32; width];
+        let reps = (ELEMS_PER_SAMPLE / (width * terms)).max(1);
+        let (scalar_ns, simd_ns) = ab_median_ns(harness, || {
+            for _ in 0..reps {
+                out.fill(0.0);
+                gather_axpy_f32(&mut out, &table, width, &idx, &alpha);
+            }
+            out[0]
+        });
+        rows.push(AbRow {
+            kernel: "gather_axpy",
+            bin: format!("width={width},terms={terms}"),
+            n: width * terms * reps,
+            scalar_ns,
+            simd_ns,
+            asserted: true,
+        });
+    }
+}
+
 fn quantization_report(seed: u64) -> (JsonValue, f32, f32) {
     let x = SparseFeatures::random(4000, 64, 0.15, seed);
     let q = QuantizedFeatures::quantize(&x);
@@ -249,6 +304,7 @@ fn main() {
     bench_axpy(&harness, &mut rows);
     bench_scale(&harness, &mut rows);
     bench_gemm(&harness, &mut rows);
+    bench_gather(&harness, &mut rows);
 
     let mut table =
         Table::new(vec!["kernel", "bin", "scalar median (ns)", "simd median (ns)", "speedup"]);

@@ -9,8 +9,8 @@
 //!   dispatches to the active [`Backend`]; the scalar and vector paths
 //!   are **bitwise identical per lane** (pinned by this crate's test
 //!   suite), so callers never observe which backend ran.
-//! * **Slice kernels** — [`axpy`], [`scale`], [`gemm_panel`]: the hot
-//!   loops the workspace actually runs. Backend dispatch happens
+//! * **Slice kernels** — [`axpy`], [`scale`], [`gemm_panel`],
+//!   [`gather_axpy`]: the hot loops the workspace actually runs. Backend dispatch happens
 //!   **once per call** and the whole loop lives inside a
 //!   `#[target_feature]` function, so there is no per-element dispatch
 //!   overhead.
@@ -29,7 +29,9 @@
 //!
 //! Under those two rules each lane performs exactly the scalar
 //! operation sequence, so results are bit-identical — including signed
-//! zeros, infinities, NaN propagation patterns and denormals.
+//! zeros, infinities and denormals. NaN stays NaN on every path; which
+//! payload survives an add of *two* NaNs is not pinned, because the
+//! compiler may commute a floating-point add on either path.
 //!
 //! # Backends and the test hook
 //!
@@ -371,6 +373,45 @@ pub fn gemm_panel(
     }
 }
 
+/// Whole-row gather-accumulate:
+///
+/// ```text
+/// out[j] += Σ_i alpha[i] * rows[idx[i]*stride + j]    for j < out.len()
+/// ```
+///
+/// For every output element the terms accumulate in ascending `i`
+/// order with non-fused multiply + add, starting from the element's
+/// current value — bit-identical to calling [`axpy`] once per term.
+/// The vector backends keep one register accumulator per 8-lane (AVX2)
+/// or 4-lane (NEON) column block across all terms, so `out` is loaded
+/// and stored once per call instead of once per term; the AVX2 path
+/// covers a ragged last block with a masked load/store.
+///
+/// # Panics
+///
+/// Panics if `idx` and `alpha` differ in length, if `out` is wider than
+/// `stride`, or if a gathered row runs past the end of `rows`.
+pub fn gather_axpy(out: &mut [f32], rows: &[f32], stride: usize, idx: &[u32], alpha: &[f32]) {
+    assert_eq!(idx.len(), alpha.len(), "gather_axpy needs one alpha per index");
+    let width = out.len();
+    if width == 0 || idx.is_empty() {
+        return;
+    }
+    assert!(width <= stride, "gather_axpy output width {width} exceeds the row stride {stride}");
+    let last = idx.iter().copied().max().unwrap_or(0) as usize;
+    let end = last.checked_mul(stride).and_then(|start| start.checked_add(width));
+    assert!(end.is_some_and(|end| end <= rows.len()), "gather_axpy row {last} out of range");
+    match backend() {
+        // SAFETY: AVX2 was runtime-detected by `backend()`; every
+        // gathered row was bounds-checked above.
+        Backend::Avx2 => unsafe { avx2::gather_axpy(out, rows, stride, idx, alpha) },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is a baseline aarch64 feature; bounds checked.
+        Backend::Neon => unsafe { neon::gather_axpy(out, rows, stride, idx, alpha) },
+        _ => scalar::gather_axpy(out, rows, stride, idx, alpha),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Scalar backend: the reference semantics.
 // ---------------------------------------------------------------------
@@ -428,6 +469,19 @@ mod scalar {
     pub(crate) fn scale(xs: &mut [f32], s: f32) {
         for v in xs {
             *v *= s;
+        }
+    }
+
+    pub(crate) fn gather_axpy(
+        out: &mut [f32],
+        rows: &[f32],
+        stride: usize,
+        idx: &[u32],
+        alpha: &[f32],
+    ) {
+        let width = out.len();
+        for (&i, &a) in idx.iter().zip(alpha) {
+            axpy(out, &rows[i as usize * stride..][..width], a);
         }
     }
 
@@ -582,6 +636,99 @@ mod avx2 {
     /// # Safety
     ///
     /// Caller must have verified AVX2 support and the bounds asserted
+    /// by [`super::gather_axpy`].
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn gather_axpy(
+        out: &mut [f32],
+        rows: &[f32],
+        stride: usize,
+        idx: &[u32],
+        alpha: &[f32],
+    ) {
+        let width = out.len();
+        let (o, r) = (out.as_mut_ptr(), rows.as_ptr());
+        let mut j = 0;
+        // Up to four independent 8-lane accumulators per pass over the
+        // terms: more columns in flight, one index/alpha read per term.
+        while j + 4 * LANES <= width {
+            gather_blocks::<4>(o.add(j), r.add(j), stride, idx, alpha);
+            j += 4 * LANES;
+        }
+        match (width - j) / LANES {
+            3 => gather_blocks::<3>(o.add(j), r.add(j), stride, idx, alpha),
+            2 => gather_blocks::<2>(o.add(j), r.add(j), stride, idx, alpha),
+            1 => gather_blocks::<1>(o.add(j), r.add(j), stride, idx, alpha),
+            _ => {}
+        }
+        j += (width - j) / LANES * LANES;
+        if j < width {
+            gather_tail(o.add(j), r.add(j), stride, idx, alpha, width - j);
+        }
+    }
+
+    /// `B` full 8-lane column blocks starting at `out` / `rows`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 is available, `out` is valid for `B * 8` reads and writes,
+    /// and every `rows + idx[i] * stride` is valid for `B * 8` reads.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn gather_blocks<const B: usize>(
+        out: *mut f32,
+        rows: *const f32,
+        stride: usize,
+        idx: &[u32],
+        alpha: &[f32],
+    ) {
+        let mut acc = [_mm256_setzero_ps(); B];
+        for (b, slot) in acc.iter_mut().enumerate() {
+            *slot = _mm256_loadu_ps(out.add(b * LANES));
+        }
+        for (&i, &a) in idx.iter().zip(alpha) {
+            let av = _mm256_set1_ps(a);
+            let src = rows.add(i as usize * stride);
+            for (b, slot) in acc.iter_mut().enumerate() {
+                // Non-fused: multiply, then add (two roundings).
+                *slot =
+                    _mm256_add_ps(*slot, _mm256_mul_ps(av, _mm256_loadu_ps(src.add(b * LANES))));
+            }
+        }
+        for (b, slot) in acc.iter().enumerate() {
+            _mm256_storeu_ps(out.add(b * LANES), *slot);
+        }
+    }
+
+    /// The last `n < 8` columns: masked lanes are neither read nor
+    /// written.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 is available, `out` is valid for `n` reads and writes, and
+    /// every `rows + idx[i] * stride` is valid for `n` reads.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn gather_tail(
+        out: *mut f32,
+        rows: *const f32,
+        stride: usize,
+        idx: &[u32],
+        alpha: &[f32],
+        n: usize,
+    ) {
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lanes);
+        let mut acc = _mm256_maskload_ps(out, mask);
+        for (&i, &a) in idx.iter().zip(alpha) {
+            let x = _mm256_maskload_ps(rows.add(i as usize * stride), mask);
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(a), x));
+        }
+        _mm256_maskstore_ps(out, mask, acc);
+    }
+
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support and the bounds asserted
     /// by [`super::gemm_panel`].
     #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn gemm_panel(
@@ -686,6 +833,75 @@ mod neon {
     /// NEON is a baseline aarch64 feature; bounds asserted by the
     /// dispatching wrapper.
     #[target_feature(enable = "neon")]
+    pub(crate) unsafe fn gather_axpy(
+        out: &mut [f32],
+        rows: &[f32],
+        stride: usize,
+        idx: &[u32],
+        alpha: &[f32],
+    ) {
+        let width = out.len();
+        let (o, r) = (out.as_mut_ptr(), rows.as_ptr());
+        let mut j = 0;
+        while j + 4 * STEP <= width {
+            gather_blocks::<4>(o.add(j), r.add(j), stride, idx, alpha);
+            j += 4 * STEP;
+        }
+        match (width - j) / STEP {
+            3 => gather_blocks::<3>(o.add(j), r.add(j), stride, idx, alpha),
+            2 => gather_blocks::<2>(o.add(j), r.add(j), stride, idx, alpha),
+            1 => gather_blocks::<1>(o.add(j), r.add(j), stride, idx, alpha),
+            _ => {}
+        }
+        j += (width - j) / STEP * STEP;
+        // Scalar tail columns: same per-element order.
+        while j < width {
+            let mut acc = *o.add(j);
+            for (&i, &a) in idx.iter().zip(alpha) {
+                acc += a * *r.add(i as usize * stride + j);
+            }
+            *o.add(j) = acc;
+            j += 1;
+        }
+    }
+
+    /// `B` full 4-lane column blocks starting at `out` / `rows`.
+    ///
+    /// # Safety
+    ///
+    /// `out` is valid for `B * 4` reads and writes, and every
+    /// `rows + idx[i] * stride` is valid for `B * 4` reads.
+    #[target_feature(enable = "neon")]
+    #[inline]
+    unsafe fn gather_blocks<const B: usize>(
+        out: *mut f32,
+        rows: *const f32,
+        stride: usize,
+        idx: &[u32],
+        alpha: &[f32],
+    ) {
+        let mut acc = [vdupq_n_f32(0.0); B];
+        for (b, slot) in acc.iter_mut().enumerate() {
+            *slot = vld1q_f32(out.add(b * STEP));
+        }
+        for (&i, &a) in idx.iter().zip(alpha) {
+            let av = vdupq_n_f32(a);
+            let src = rows.add(i as usize * stride);
+            for (b, slot) in acc.iter_mut().enumerate() {
+                // Non-fused multiply + add (no vfmaq).
+                *slot = vaddq_f32(*slot, vmulq_f32(av, vld1q_f32(src.add(b * STEP))));
+            }
+        }
+        for (b, slot) in acc.iter().enumerate() {
+            vst1q_f32(out.add(b * STEP), *slot);
+        }
+    }
+
+    /// # Safety
+    ///
+    /// NEON is a baseline aarch64 feature; bounds asserted by the
+    /// dispatching wrapper.
+    #[target_feature(enable = "neon")]
     pub(crate) unsafe fn gemm_panel(
         a: &[f32],
         lda: usize,
@@ -730,6 +946,14 @@ mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serialises the tests that flip the process-global scalar hook:
+    /// each holds it for its whole body, so no test observes another's
+    /// pin (the hook test asserts the unpinned backend).
+    fn hook_lock() -> std::sync::MutexGuard<'static, ()> {
+        static HOOK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        HOOK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     /// RAII guard: pins the scalar fallback, restoring on drop.
     struct ScalarGuard;
@@ -788,6 +1012,7 @@ mod tests {
 
     #[test]
     fn value_ops_scalar_vs_vector_bitwise() {
+        let _hook = hook_lock();
         if detected() == Backend::Scalar {
             return; // only the scalar path exists on this machine
         }
@@ -850,6 +1075,7 @@ mod tests {
 
     #[test]
     fn i32x8_add_wraps_bitwise() {
+        let _hook = hook_lock();
         let a = I32x8::from([i32::MAX, -1, 0, 5, i32::MIN, 100, -100, 7]);
         let b = I32x8::from([1, -1, 0, -5, -1, 23, 100, 7]);
         let vec_sum = (a + b).to_array();
@@ -883,6 +1109,7 @@ mod tests {
 
     #[test]
     fn axpy_kernel_matches_scalar_bitwise() {
+        let _hook = hook_lock();
         for len in [0, 1, 7, 8, 9, 31, 64, 100] {
             for (seed, alpha) in [(1, 0.5f32), (2, -1.0), (3, 1.0), (4, 1.0e-3), (5, 0.0)] {
                 let x = pseudo(seed, len);
@@ -907,6 +1134,7 @@ mod tests {
 
     #[test]
     fn scale_kernel_matches_scalar_bitwise() {
+        let _hook = hook_lock();
         for len in [0, 1, 8, 13, 40] {
             for s in [0.5f32, -0.0, 2.0, 1.0e20] {
                 let base = pseudo(len as u64 + 7, len);
@@ -926,6 +1154,7 @@ mod tests {
 
     #[test]
     fn gemm_panel_matches_scalar_bitwise() {
+        let _hook = hook_lock();
         for &(mr, kc, n, lda_pad) in
             &[(1, 1, 1, 0), (4, 3, 8, 0), (2, 5, 7, 3), (4, 16, 19, 1), (3, 2, 32, 0), (4, 9, 5, 2)]
         {
@@ -973,7 +1202,83 @@ mod tests {
     }
 
     #[test]
+    fn gather_axpy_matches_scalar_bitwise() {
+        let _hook = hook_lock();
+        // Widths 1–33 cover every block count and every tail length of
+        // both vector backends; the rows carry ±0.0, ±inf and NaN (via
+        // `pseudo`'s awkward values, plus a planted row), alpha mixes in
+        // ±0.0 and ±1.
+        for width in 1..=33usize {
+            let stride = width + width % 3;
+            let num_rows = 9;
+            let mut rows = pseudo(width as u64, num_rows * stride);
+            rows[..width].copy_from_slice(&awkward()[..width.min(16)].repeat(3)[..width]);
+            let mut s = (width as u64).wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+            let mut next = || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
+            };
+            let terms = (next() % 12) as usize + 1;
+            let idx: Vec<u32> = (0..terms).map(|_| (next() % num_rows as u64) as u32).collect();
+            let mut alpha = pseudo(width as u64 + 500, terms);
+            for (t, a) in alpha.iter_mut().enumerate() {
+                match t % 5 {
+                    1 => *a = 0.0,
+                    3 => *a = if t % 2 == 0 { 1.0 } else { -1.0 },
+                    4 if t % 3 == 0 => *a = -0.0,
+                    _ => {}
+                }
+            }
+            let base = pseudo(width as u64 + 900, width);
+            let mut vector = base.clone();
+            gather_axpy(&mut vector, &rows, stride, &idx, &alpha);
+            let mut scalar = base.clone();
+            {
+                let _guard = ScalarGuard::pin();
+                gather_axpy(&mut scalar, &rows, stride, &idx, &alpha);
+            }
+            // Both equal one axpy per term, in term order.
+            let mut expect = base;
+            for (&i, &a) in idx.iter().zip(&alpha) {
+                for (e, &x) in expect.iter_mut().zip(&rows[i as usize * stride..][..width]) {
+                    *e += a * x;
+                }
+            }
+            // Every bit must match, except which of two NaN operands an
+            // add propagates: `fadd` is commutative to the compiler, so
+            // neither path pins that payload. NaN stays NaN on both.
+            let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+            for j in 0..width {
+                let what = format!("width {width} column {j}: {} {}", vector[j], scalar[j]);
+                assert!(same(vector[j], scalar[j]), "{what}: vector vs scalar");
+                assert!(same(scalar[j], expect[j]), "{what}: scalar vs loop");
+            }
+        }
+    }
+
+    #[test]
+    fn gather_axpy_leaves_columns_beyond_the_output_alone() {
+        // The masked tail must not touch the neighbouring row segment.
+        let rows = pseudo(3, 4 * 8);
+        let mut buf = [7.0f32; 8];
+        let (out, rest) = buf.split_at_mut(5);
+        gather_axpy(out, &rows, 8, &[3, 0, 2], &[1.0, -1.0, 0.5]);
+        assert_eq!(rest, &[7.0, 7.0, 7.0]);
+        gather_axpy(&mut [], &rows, 8, &[99], &[1.0]);
+        gather_axpy(&mut [1.0], &[], 1, &[], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn gather_axpy_rejects_rows_past_the_end() {
+        gather_axpy(&mut [0.0; 4], &[1.0; 8], 4, &[0, 2], &[1.0, 1.0]);
+    }
+
+    #[test]
     fn force_scalar_hook_flips_backend() {
+        let _hook = hook_lock();
         let native = detected();
         assert_eq!(backend(), native);
         force_scalar(true);

@@ -156,6 +156,11 @@ impl IslandizationConfig {
 }
 
 /// How pre-aggregation groups are materialised in the Island Consumer.
+///
+/// The policy shapes the modelled hardware's operation counts (the
+/// structural accountant). The software executor materialises only the
+/// groups some window reuses under either policy; a group nobody reads
+/// cannot change a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PreaggPolicy {
     /// Pre-aggregate every group of `k` consecutive members at combination

@@ -7,13 +7,20 @@
 //!    `y_h = s_in(h)·(X_h·W)`, computed once per layer into
 //!    [`HubMergeState`] (the HUB Matrix XW Cache);
 //! 2. **island tasks** — [`execute_islands`] runs a range of islands:
-//!    PULL combination of the island nodes, pre-aggregation of every `k`
-//!    consecutive members and the `1×k` bitmap window scan, writing
+//!    PULL combination of the island nodes, materialisation of the
+//!    pre-aggregated groups the island's rows reuse, and the `1×k`
+//!    bitmap window scan replayed from the epoch's [`ScanPlan`], writing
 //!    finished island-node rows plus one raw contribution per
 //!    (island, contacted hub) pair;
 //! 3. **DHUB-PRC merge** — [`HubMergeState`] folds the contributions in
 //!    schedule order, replays the inter-hub PUSH tasks and finalises the
 //!    hub rows.
+//!
+//! Every combination row and every scanned bitmap row is one call of
+//! the whole-row gather-accumulate kernel
+//! ([`igcn_linalg::kernels::gather_axpy_f32`]), whose per-element
+//! accumulation order is the term order — the feature non-zeros for a
+//! combination, the plan's window/member order for a scan.
 //!
 //! A single engine is the one-shard, no-halo case ([`run_layer`]); a
 //! sharded fleet runs step 2 on every shard around a halo exchange.
@@ -29,26 +36,51 @@ use std::sync::Mutex;
 
 use igcn_gnn::Activation;
 use igcn_graph::NodeId;
+use igcn_linalg::kernels::{axpy_f32, gather_axpy_f32, scale_f32};
 use igcn_linalg::{DenseMatrix, GcnNormalization};
 use threadpool::ThreadPool;
 
-use crate::config::{ConsumerConfig, PreaggPolicy};
 use crate::island::IslandBitmap;
 use crate::layout::IslandLayout;
 
-use super::window::WindowDecision;
+use super::plan::{self_in_bitmap, IslandScan, ScanPlan};
 use super::LayerInput;
 
-/// `acc += alpha · x` over the SIMD backend — bit-identical to the scalar
-/// loop `*a += alpha * v` because the kernel uses non-fused multiply + add
-/// on independent lanes (see `igcn_simd`).
-#[inline]
-fn axpy(acc: &mut [f32], x: &[f32], alpha: f32) {
-    igcn_linalg::kernels::axpy_f32(acc, x, alpha);
+/// Member offsets `0..64` and unit coefficients: the terms of a
+/// pre-aggregation group relative to its first member.
+const IOTA: [u32; 64] = {
+    let mut iota = [0u32; 64];
+    let mut i = 0;
+    while i < 64 {
+        iota[i] = i as u32;
+        i += 1;
+    }
+    iota
+};
+const ONES: [f32; 64] = [1.0; 64];
+
+/// The non-zero entries of one dense input row, compacted for the
+/// gather kernel (dense combination skips `x == 0` terms).
+#[derive(Debug, Default)]
+struct RowTerms {
+    cols: Vec<u32>,
+    vals: Vec<f32>,
+}
+
+impl RowTerms {
+    fn reserve(&mut self, in_dim: usize) {
+        self.cols.reserve(in_dim.saturating_sub(self.cols.len()));
+        self.vals.reserve(in_dim.saturating_sub(self.vals.len()));
+    }
+
+    fn reserved_bytes(&self) -> usize {
+        (self.cols.capacity() + self.vals.capacity()) * 4
+    }
 }
 
 /// The combination arithmetic `y_v = s_in(v) · (X_v · W)`, written into
-/// `out` (which must be `weights.cols()` long).
+/// `out` (which must be `weights.cols()` long): one gather-accumulate
+/// over the weight rows of `v`'s non-zero features.
 ///
 /// # Panics
 ///
@@ -58,32 +90,32 @@ fn combine_values_into(
     weights: &DenseMatrix,
     norm: &GcnNormalization,
     v: u32,
+    terms: &mut RowTerms,
     out: &mut [f32],
 ) {
     assert_eq!(out.len(), weights.cols(), "combination output width mismatch");
     out.fill(0.0);
-    // Column-vectorized kernels: `axpy_f32` accumulates one weight row at a
-    // time in feature-column order with non-fused multiply + add, so the
-    // per-element accumulation order (and hence every bit of the result)
-    // matches the scalar loops on every SIMD backend.
+    let (w, stride) = (weights.as_slice(), weights.cols());
     match input {
         LayerInput::Sparse(x) => {
             let (cols, vals) = x.row(NodeId::new(v));
-            for (&c, &xv) in cols.iter().zip(vals) {
-                igcn_linalg::kernels::axpy_f32(out, weights.row(c as usize), xv);
-            }
+            gather_axpy_f32(out, w, stride, cols, vals);
         }
         LayerInput::Dense(m) => {
+            terms.cols.clear();
+            terms.vals.clear();
             for (c, &xv) in m.row(v as usize).iter().enumerate() {
                 if xv != 0.0 {
-                    igcn_linalg::kernels::axpy_f32(out, weights.row(c), xv);
+                    terms.cols.push(c as u32);
+                    terms.vals.push(xv);
                 }
             }
+            gather_axpy_f32(out, w, stride, &terms.cols, &terms.vals);
         }
     }
     let s = norm.in_scale(NodeId::new(v));
     if s != 1.0 {
-        igcn_linalg::kernels::scale_f32(out, s);
+        scale_f32(out, s);
     }
 }
 
@@ -138,17 +170,11 @@ pub fn claim_each<W: Send, T: Send>(
 /// first use and is only resliced afterwards.
 #[derive(Debug, Default)]
 pub struct IslandArena {
-    /// Island member combination vectors (`dim × width`, row-major).
-    y: Vec<f32>,
-    /// Pre-aggregation group sums (`num_groups × width`).
-    group_sums: Vec<f32>,
-    /// Which groups have been materialised for the current island.
-    group_ready: Vec<bool>,
-    /// The window-scan accumulator (`width`).
-    acc: Vec<f32>,
-    /// Per-row window decisions `(group, mask, decision)` recorded by
-    /// the scan's decision pass and replayed per feature-column block.
-    decisions: Vec<(u32, u64, WindowDecision)>,
+    /// The island's working rows: member combination vectors, then the
+    /// reused group sums (`(dim + groups) × width`, row-major).
+    rows: Vec<f32>,
+    /// Dense-input non-zeros of the member being combined.
+    terms: RowTerms,
 }
 
 impl IslandArena {
@@ -157,25 +183,17 @@ impl IslandArena {
         IslandArena::default()
     }
 
-    /// Grows every buffer to what an island of `dim` members needs at
-    /// `width`, so the arena never grows inside the island loop.
-    fn reserve(&mut self, dim: usize, k: usize, width: usize) {
-        let num_groups = dim.div_ceil(k);
-        grow_f32(&mut self.y, dim * width);
-        grow_f32(&mut self.group_sums, num_groups * width);
-        if self.group_ready.len() < num_groups {
-            self.group_ready.resize(num_groups, false);
-        }
-        grow_f32(&mut self.acc, width);
-        self.decisions.clear();
-        self.decisions.reserve(num_groups);
+    /// Grows every buffer to what `rows` working rows at `width` and an
+    /// input of `in_dim` columns need, so the arena never grows inside
+    /// the island loop.
+    fn reserve(&mut self, rows: usize, width: usize, in_dim: usize) {
+        grow_f32(&mut self.rows, rows * width);
+        self.terms.reserve(in_dim);
     }
 
     /// Bytes currently reserved by the arena.
-    fn reserved_bytes(&self) -> usize {
-        (self.y.capacity() + self.group_sums.capacity() + self.acc.capacity()) * 4
-            + self.group_ready.capacity()
-            + self.decisions.capacity() * std::mem::size_of::<(u32, u64, WindowDecision)>()
+    pub fn reserved_bytes(&self) -> usize {
+        self.rows.capacity() * 4 + self.terms.reserved_bytes()
     }
 }
 
@@ -185,99 +203,10 @@ fn grow_f32(v: &mut Vec<f32>, len: usize) {
     }
 }
 
-/// Materialises pre-aggregation group `g` (the sum of members
-/// `g·k .. g·k + size`) into the group arena, once per island.
-fn materialize_group(
-    group_sums: &mut [f32],
-    group_ready: &mut [bool],
-    y: &[f32],
-    g: usize,
-    k: usize,
-    dim: usize,
-    width: usize,
-) {
-    if group_ready[g] {
-        return;
-    }
-    let start = g * k;
-    let size = k.min(dim - start);
-    let dst = &mut group_sums[g * width..][..width];
-    dst.copy_from_slice(&y[start * width..][..width]);
-    for item in 1..size {
-        axpy(dst, &y[(start + item) * width..][..width], 1.0);
-    }
-    group_ready[g] = true;
-}
-
-/// Feature-column block width of the aggregation replay. The scan
-/// decides every window once, then replays the arithmetic one column
-/// block at a time so the accumulator slice and the touched `y` row
-/// segments of a block stay cache-resident across all of the row's
-/// windows.
-const SCAN_COL_BLOCK: usize = 64;
-
-/// The `1×k` window scan of bitmap row `r` into `acc`. The decision
-/// pass materialises reused group sums in group order; the arithmetic
-/// then replays per [`SCAN_COL_BLOCK`]-column block. Per output element
-/// the accumulation order over (window, member) is the same for every
-/// block width — blocking only reorders *independent* columns.
-#[allow(clippy::too_many_arguments)]
-fn scan_row(
-    bm: &IslandBitmap,
-    r: usize,
-    k: usize,
-    width: usize,
-    redundancy_removal: bool,
-    y: &[f32],
-    group_sums: &mut [f32],
-    group_ready: &mut [bool],
-    acc: &mut [f32],
-    decisions: &mut Vec<(u32, u64, WindowDecision)>,
-) {
-    let dim = bm.dim();
-    acc.fill(0.0);
-    decisions.clear();
-    for g in 0..dim.div_ceil(k) {
-        let start = g * k;
-        let mask = bm.window(r, start, k);
-        match WindowDecision::decide(mask, k.min(dim - start), redundancy_removal) {
-            WindowDecision::Skip => {}
-            decision @ WindowDecision::Direct { .. } => decisions.push((g as u32, mask, decision)),
-            decision @ WindowDecision::Reuse { .. } => {
-                materialize_group(group_sums, group_ready, y, g, k, dim, width);
-                decisions.push((g as u32, mask, decision));
-            }
-        }
-    }
-    let mut col = 0;
-    while col < width {
-        let block = SCAN_COL_BLOCK.min(width - col);
-        for &(g, mask, decision) in decisions.iter() {
-            let start = g as usize * k;
-            let size = k.min(dim - start);
-            let dst = &mut acc[col..col + block];
-            let reuse = matches!(decision, WindowDecision::Reuse { .. });
-            if reuse {
-                axpy(dst, &group_sums[g as usize * width + col..][..block], 1.0);
-            }
-            // Direct windows add the connected members; reuse windows
-            // subtract the unconnected ones from the group sum.
-            for b in 0..size {
-                let connected = (mask >> b) & 1 == 1;
-                if connected != reuse {
-                    let alpha = if reuse { -1.0 } else { 1.0 };
-                    axpy(dst, &y[(start + b) * width + col..][..block], alpha);
-                }
-            }
-        }
-        col += block;
-    }
-}
-
 /// Everything one layer's island tasks borrow immutably.
 #[derive(Clone, Copy)]
 struct LayerEnv<'l> {
-    cfg: ConsumerConfig,
+    k: usize,
     input: LayerInput<'l>,
     weights: &'l DenseMatrix,
     norm: &'l GcnNormalization,
@@ -286,77 +215,79 @@ struct LayerEnv<'l> {
     self_in_bitmap: bool,
 }
 
-/// One island task: combination, pre-aggregation and the window scan.
-/// Activated island-node rows land in `node_out`, raw hub-row
-/// aggregation results in `hub_out` (one `width` slot per contacted
-/// hub, in the island's hub order).
+/// One island task: combination, pre-aggregation of the reused groups
+/// and the planned window scan. Activated island-node rows land in
+/// `node_out`, raw hub-row aggregation results in `hub_out` (one
+/// `width` slot per contacted hub, in the island's hub order).
 fn run_island(
     env: &LayerEnv<'_>,
     bm: &IslandBitmap,
+    scan: IslandScan<'_>,
     hub_y: &[f32],
     arena: &mut IslandArena,
     node_out: &mut [f32],
     hub_out: &mut [f32],
 ) {
     let width = env.width;
-    let k = env.cfg.k;
     let dim = bm.dim();
     let nh = bm.num_hubs();
-    let num_groups = dim.div_ceil(k);
-    arena.reserve(dim, k, width);
-    let IslandArena { y, group_sums, group_ready, acc, decisions } = arena;
-    let acc = &mut acc[..width];
+    let working = dim + scan.groups.len();
+    arena.reserve(working, width, env.input.num_cols());
+    let IslandArena { rows, terms } = arena;
+    let rows = &mut rows[..working * width];
 
     // Combination (hub vectors served from the XW slab).
     for (i, &m) in bm.members().iter().enumerate() {
-        let row = &mut y[i * width..][..width];
+        let row = &mut rows[i * width..][..width];
         if i < nh {
             row.copy_from_slice(&hub_y[m as usize * width..][..width]);
         } else {
-            combine_values_into(env.input, env.weights, env.norm, m, row);
+            combine_values_into(env.input, env.weights, env.norm, m, terms, row);
         }
     }
 
-    // Pre-aggregation of every k consecutive members.
-    group_ready[..num_groups].fill(false);
-    if env.cfg.redundancy_removal && env.cfg.preagg == PreaggPolicy::Eager {
-        for g in 0..num_groups {
-            materialize_group(group_sums, group_ready, y, g, k, dim, width);
-        }
+    // Pre-aggregation of the groups some row reuses: the first member,
+    // then the rest added in member order.
+    let (members, sums) = rows.split_at_mut(dim * width);
+    for (j, &g) in scan.groups.iter().enumerate() {
+        let start = g as usize * env.k;
+        let size = env.k.min(dim - start);
+        let group = &members[start * width..];
+        let sum = &mut sums[j * width..][..width];
+        sum.copy_from_slice(&group[..width]);
+        gather_axpy_f32(sum, group, width, &IOTA[1..size], &ONES[1..size]);
     }
 
-    // Aggregation: the window scan over every bitmap row.
+    // Aggregation: one gather-accumulate per bitmap row over the
+    // working rows, in the plan's window/member order.
+    let rows = &*rows;
     for r in 0..dim {
-        scan_row(
-            bm,
-            r,
-            k,
-            width,
-            env.cfg.redundancy_removal,
-            y,
-            group_sums,
-            group_ready,
-            acc,
-            decisions,
-        );
+        let (src, alpha) = scan.row(r);
+        let out = if r < nh {
+            &mut hub_out[r * width..][..width]
+        } else {
+            &mut node_out[(r - nh) * width..][..width]
+        };
+        out.fill(0.0);
+        gather_axpy_f32(out, rows, width, src, alpha);
         if r < nh {
-            hub_out[r * width..][..width].copy_from_slice(acc);
             continue;
         }
         // Island node: separate self contribution only when the
         // self-weight is not 1 (GIN), then post-scale and activate.
         if !env.self_in_bitmap {
-            axpy(acc, &y[r * width..][..width], env.norm.self_weight());
+            axpy_f32(out, &rows[r * width..][..width], env.norm.self_weight());
         }
         let os = env.norm.out_scale(NodeId::new(bm.member(r)));
-        for (o, &v) in node_out[(r - nh) * width..][..width].iter_mut().zip(acc.iter()) {
-            *o = env.activation.apply(v * os);
+        for o in out.iter_mut() {
+            *o = env.activation.apply(*o * os);
         }
     }
 }
 
 /// Executes the islands `islands` of `layout` — the only code that
-/// performs island aggregation arithmetic. Hub combination vectors come
+/// performs island aggregation arithmetic — replaying `plan`, the
+/// layout's scan plan for this model. Hub combination vectors come
 /// from the prefilled `hub_y` slab (`layout.num_hubs() × width`).
 /// Activated island-node rows are written to `node_out` (the range's
 /// island nodes back to back, row-major) and raw per-(island,
@@ -367,12 +298,12 @@ fn run_island(
 ///
 /// # Panics
 ///
-/// Panics if the input, weight, normalisation, slab or output shapes do
-/// not match the layout and island range.
+/// Panics if the input, weight, normalisation, plan, slab or output
+/// shapes do not match the layout and island range.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_islands(
     layout: &IslandLayout,
-    cfg: ConsumerConfig,
+    plan: &ScanPlan,
     input: LayerInput<'_>,
     weights: &DenseMatrix,
     norm: &GcnNormalization,
@@ -389,14 +320,16 @@ pub fn execute_islands(
     assert_eq!(input.num_cols(), weights.rows(), "input width does not match the weights");
     assert_eq!(norm.len(), n, "normalisation does not match the graph");
     assert_eq!(hub_y.len(), layout.num_hubs() * width, "hub XW slab mismatch");
+    assert_eq!(plan.num_islands(), layout.partition().num_islands(), "scan plan mismatch");
+    assert_eq!(plan.self_in_bitmap(), self_in_bitmap(norm), "scan plan is for another model");
     let env = LayerEnv {
-        cfg,
+        k: plan.k(),
         input,
         weights,
         norm,
         activation,
         width,
-        self_in_bitmap: norm.self_weight() == 1.0,
+        self_in_bitmap: self_in_bitmap(norm),
     };
     let all = layout.partition().islands();
     let mut node_rest = node_out;
@@ -409,7 +342,9 @@ pub fn execute_islands(
         node_rest = nr;
         hub_rest = hr;
         let bm = layout.bitmap(idx, env.self_in_bitmap);
-        run_island(&env, bm, hub_y, arena, island_nodes, island_hubs);
+        let scan = plan.island(idx);
+        assert_eq!(scan.dim(), bm.dim(), "scan plan mismatch");
+        run_island(&env, bm, scan, hub_y, arena, island_nodes, island_hubs);
     }
     assert!(node_rest.is_empty(), "island output slab mismatch");
     assert!(hub_rest.is_empty(), "contribution slab mismatch");
@@ -431,6 +366,8 @@ pub struct HubMergeState {
     y: Vec<f32>,
     partial: Vec<f32>,
     partial_ready: Vec<bool>,
+    /// Dense-input scratch of each thread filling the slab.
+    terms: Vec<RowTerms>,
 }
 
 impl HubMergeState {
@@ -466,17 +403,31 @@ impl HubMergeState {
             return;
         }
         let threads = pool.map_or(1, ThreadPool::threads);
+        if self.terms.len() < threads {
+            self.terms.resize_with(threads, RowTerms::default);
+        }
+        for terms in &mut self.terms[..threads] {
+            terms.reserve(input.num_cols());
+        }
         let rows_per_chunk = num_hubs.div_ceil(threads * 4);
         let chunks: Vec<(usize, &mut [f32])> = self.y[..num_hubs * width]
             .chunks_mut(rows_per_chunk * width)
             .enumerate()
             .map(|(c, rows)| (c * rows_per_chunk, rows))
             .collect();
-        claim_each(pool, &mut vec![(); threads], chunks, |_, _, (first, rows)| {
+        claim_each(pool, &mut self.terms[..threads], chunks, |terms, _, (first, rows)| {
             for (i, row) in rows.chunks_mut(width).enumerate() {
-                combine_values_into(input, weights, norm, (first + i) as u32, row);
+                combine_values_into(input, weights, norm, (first + i) as u32, terms, row);
             }
         });
+    }
+
+    /// Bytes currently reserved by the merge state's slabs and scratch.
+    pub fn reserved_bytes(&self) -> usize {
+        (self.y.capacity() + self.partial.capacity()) * 4
+            + self.partial_ready.capacity()
+            + self.terms.capacity() * std::mem::size_of::<RowTerms>()
+            + self.terms.iter().map(RowTerms::reserved_bytes).sum::<usize>()
     }
 
     /// The filled hub XW slab (hub `h`'s vector at `h * width`) — what
@@ -494,7 +445,7 @@ impl HubMergeState {
         }
         let row = &mut self.partial[i * self.width..][..self.width];
         row.fill(0.0);
-        axpy(row, &self.y[i * self.width..][..self.width], self_weight);
+        axpy_f32(row, &self.y[i * self.width..][..self.width], self_weight);
         self.partial_ready[i] = true;
     }
 
@@ -571,9 +522,8 @@ impl LayerScratch {
     /// Bytes currently reserved across all arenas — the observable for
     /// scratch-reuse regression tests (must stop growing after warm-up).
     pub fn arena_bytes(&self) -> usize {
-        let merge = &self.merge;
-        (merge.y.capacity() + merge.partial.capacity() + self.contrib.capacity()) * 4
-            + merge.partial_ready.capacity()
+        self.merge.reserved_bytes()
+            + self.contrib.capacity() * 4
             + self.hub_offsets.capacity() * 8
             + self.arenas.iter().map(IslandArena::reserved_bytes).sum::<usize>()
     }
@@ -602,18 +552,19 @@ fn island_chunks(work: &[u64], chunks: usize) -> Vec<Range<usize>> {
 
 /// One GraphCONV layer on one engine — the one-shard, no-halo case of
 /// the executor: hub XW slab, island chunks claimed by `pool`'s threads
-/// (sequential without a pool), schedule-order merge, inter-hub tasks,
-/// hub finalise. Writes activated rows in layout ID order into `out`
-/// (`num_nodes × width`, row-major: hubs `0..H`, then island nodes).
+/// (sequential without a pool) replaying `plan`, schedule-order merge,
+/// inter-hub tasks, hub finalise. Writes activated rows in layout ID
+/// order into `out` (`num_nodes × width`, row-major: hubs `0..H`, then
+/// island nodes).
 ///
 /// # Panics
 ///
-/// Panics if the input, weight, normalisation or output shapes do not
-/// match the layout.
+/// Panics if the input, weight, normalisation, plan or output shapes do
+/// not match the layout.
 #[allow(clippy::too_many_arguments)]
 pub fn run_layer(
     layout: &IslandLayout,
-    cfg: ConsumerConfig,
+    plan: &ScanPlan,
     input: LayerInput<'_>,
     weights: &DenseMatrix,
     norm: &GcnNormalization,
@@ -659,14 +610,13 @@ pub fn run_layer(
     if arenas.len() < threads {
         arenas.resize_with(threads, IslandArena::default);
     }
-    let max_dim = islands.iter().map(|isl| isl.nodes.len() + isl.hubs.len()).max().unwrap_or(0);
     for arena in &mut arenas[..threads] {
-        arena.reserve(max_dim, cfg.k, width);
+        arena.reserve(plan.max_rows(), width, input.num_cols());
     }
     let hub_y = merge.y();
     claim_each(pool, arenas, items, |arena, _, (range, nodes, slots)| {
         execute_islands(
-            layout, cfg, input, weights, norm, activation, hub_y, range, arena, nodes, slots,
+            layout, plan, input, weights, norm, activation, hub_y, range, arena, nodes, slots,
         );
     });
 
@@ -685,11 +635,16 @@ pub fn run_layer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::IslandizationConfig;
+    use crate::config::{ConsumerConfig, IslandizationConfig};
+    use crate::consumer::window::WindowDecision;
     use crate::locator::islandize;
     use igcn_gnn::{reference_forward_layers, GnnModel, ModelWeights};
     use igcn_graph::generate::HubIslandConfig;
     use igcn_graph::{CsrGraph, SparseFeatures};
+
+    fn plan_for(layout: &IslandLayout, cfg: ConsumerConfig, norm: &GcnNormalization) -> ScanPlan {
+        ScanPlan::build(layout, cfg.k, cfg.redundancy_removal, self_in_bitmap(norm))
+    }
 
     fn setup(n: usize, noise: f64, seed: u64) -> (CsrGraph, IslandLayout, SparseFeatures) {
         let g = HubIslandConfig::new(n, (n / 25).max(2)).noise_fraction(noise).generate(seed);
@@ -712,6 +667,7 @@ mod tests {
         let n = layout.graph().num_nodes();
         let norm = model.normalization(layout.graph());
         let gathered = x.gather_rows(layout.gather_order());
+        let plan = plan_for(layout, cfg, &norm);
         let mut scratch = LayerScratch::new();
         let mut outs: Vec<DenseMatrix> = Vec::new();
         for (i, layer) in model.layers().iter().enumerate() {
@@ -721,7 +677,7 @@ mod tests {
             };
             let mut out = DenseMatrix::zeros(n, layer.out_dim);
             let (w, act) = (w.layer(i), layer.activation);
-            run_layer(layout, cfg, input, w, &norm, act, pool, &mut scratch, out.as_mut_slice());
+            run_layer(layout, &plan, input, w, &norm, act, pool, &mut scratch, out.as_mut_slice());
             outs.push(out);
         }
         outs
@@ -755,8 +711,7 @@ mod tests {
     fn layers_match_the_reference_across_noise_and_models() {
         for (noise, seed) in [(0.0, 1), (0.08, 2), (0.2, 3)] {
             let (g, layout, x) = setup(220, noise, seed);
-            // Width 70 exercises the multi-block column replay
-            // (width > SCAN_COL_BLOCK).
+            // Width 70 spans two 32-column kernel passes and a tail.
             for model in
                 [GnnModel::gcn(12, 7, 3), GnnModel::gin(12, 7, 3, 0.3), GnnModel::gcn(12, 70, 3)]
             {
@@ -778,6 +733,184 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The Island Consumer's scan as §3.3 describes it, written out
+    /// with plain scalar loops and no plan: combination one non-zero at
+    /// a time, every group of every island pre-aggregated, then each
+    /// `1×k` window decided and applied in turn. The bitwise oracle of
+    /// the planned, gather-kernel executor.
+    #[allow(clippy::too_many_arguments)]
+    fn direct_scan_islands(
+        layout: &IslandLayout,
+        k: usize,
+        redundancy_removal: bool,
+        input: LayerInput<'_>,
+        weights: &DenseMatrix,
+        norm: &GcnNormalization,
+        activation: Activation,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let width = weights.cols();
+        let add = |acc: &mut [f32], x: &[f32], a: f32| {
+            for (o, &v) in acc.iter_mut().zip(x) {
+                *o += a * v;
+            }
+        };
+        let combine = |v: u32| {
+            let mut out = vec![0.0f32; width];
+            let terms: Vec<(usize, f32)> = match input {
+                LayerInput::Sparse(x) => {
+                    let (cols, vals) = x.row(NodeId::new(v));
+                    cols.iter().map(|&c| c as usize).zip(vals.iter().copied()).collect()
+                }
+                LayerInput::Dense(m) => {
+                    m.row(v as usize).iter().copied().enumerate().filter(|t| t.1 != 0.0).collect()
+                }
+            };
+            for (c, xv) in terms {
+                add(&mut out, weights.row(c), xv);
+            }
+            let s = norm.in_scale(NodeId::new(v));
+            if s != 1.0 {
+                out.iter_mut().for_each(|o| *o *= s);
+            }
+            out
+        };
+        let hub_y: Vec<f32> = (0..layout.num_hubs() as u32).flat_map(combine).collect();
+        let self_in = norm.self_weight() == 1.0;
+        let (mut nodes, mut contrib) = (Vec::new(), Vec::new());
+        for idx in 0..layout.partition().num_islands() {
+            let bm = layout.bitmap(idx, self_in);
+            let (dim, nh) = (bm.dim(), bm.num_hubs());
+            let y: Vec<Vec<f32>> = bm.members().iter().map(|&m| combine(m)).collect();
+            let sums: Vec<Vec<f32>> = (0..dim.div_ceil(k))
+                .map(|g| {
+                    let mut sum = y[g * k].clone();
+                    for member in &y[g * k + 1..dim.min(g * k + k)] {
+                        add(&mut sum, member, 1.0);
+                    }
+                    sum
+                })
+                .collect();
+            for (r, &member) in bm.members().iter().enumerate() {
+                let mut acc = vec![0.0f32; width];
+                for (g, sum) in sums.iter().enumerate() {
+                    let size = k.min(dim - g * k);
+                    let mask = bm.window(r, g * k, k);
+                    let reuse = match WindowDecision::decide(mask, size, redundancy_removal) {
+                        WindowDecision::Skip => continue,
+                        WindowDecision::Direct { .. } => false,
+                        WindowDecision::Reuse { .. } => true,
+                    };
+                    if reuse {
+                        add(&mut acc, sum, 1.0);
+                    }
+                    for b in 0..size {
+                        if ((mask >> b) & 1 == 1) != reuse {
+                            add(&mut acc, &y[g * k + b], if reuse { -1.0 } else { 1.0 });
+                        }
+                    }
+                }
+                if r < nh {
+                    contrib.extend(acc);
+                    continue;
+                }
+                if !self_in {
+                    add(&mut acc, &y[r], norm.self_weight());
+                }
+                let os = norm.out_scale(NodeId::new(member));
+                nodes.extend(acc.iter().map(|&v| activation.apply(v * os)));
+            }
+        }
+        (hub_y, nodes, contrib)
+    }
+
+    #[test]
+    fn planned_scan_matches_the_direct_window_scan_bitwise() {
+        let (_, layout, x) = setup(160, 0.05, 3);
+        let (n, h) = (layout.graph().num_nodes(), layout.num_hubs());
+        let gathered = x.gather_rows(layout.gather_order());
+        // A dense input with exact zeros and negative zeros (skipped by
+        // the dense combination) next to ordinary values.
+        let mut dense = DenseMatrix::from_vec(n, 12, gathered.to_dense());
+        for (i, v) in dense.as_mut_slice().iter_mut().enumerate() {
+            if i % 7 == 3 {
+                *v = -0.0;
+            }
+        }
+        let islands = layout.partition().islands();
+        let slots: usize = islands.iter().map(|isl| isl.hubs.len()).sum();
+        for gin in [false, true] {
+            let model = if gin { GnnModel::gin(12, 3, 2, 0.25) } else { GnnModel::gcn(12, 3, 2) };
+            let norm = model.normalization(layout.graph());
+            for width in [1usize, 3, 7, 8, 16, 17] {
+                let weights = ModelWeights::glorot(&GnnModel::gcn(12, width, 2), width as u64);
+                let w = weights.layer(0);
+                for (k, on) in [2usize, 3, 4, 8].into_iter().flat_map(|k| [(k, true), (k, false)]) {
+                    let plan = ScanPlan::build(&layout, k, on, self_in_bitmap(&norm));
+                    for input in [LayerInput::Sparse(&gathered), LayerInput::Dense(&dense)] {
+                        let act = Activation::Relu;
+                        let (hub_y, nodes, contrib) =
+                            direct_scan_islands(&layout, k, on, input, w, &norm, act);
+                        let mut merge = HubMergeState::new();
+                        merge.begin_layer(h, width);
+                        merge.fill_y(input, w, &norm, None);
+                        let (mut got_nodes, mut got_contrib) =
+                            (vec![0.0f32; (n - h) * width], vec![0.0f32; slots * width]);
+                        execute_islands(
+                            &layout,
+                            &plan,
+                            input,
+                            w,
+                            &norm,
+                            act,
+                            merge.y(),
+                            0..islands.len(),
+                            &mut IslandArena::new(),
+                            &mut got_nodes,
+                            &mut got_contrib,
+                        );
+                        let what = format!("gin={gin} width={width} k={k} reuse={on} {input:?}");
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(merge.y()), bits(&hub_y), "{what}: hub XW slab");
+                        assert_eq!(bits(&got_nodes), bits(&nodes), "{what}: island rows");
+                        assert_eq!(bits(&got_contrib), bits(&contrib), "{what}: contributions");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scan plan is for another model")]
+    fn a_plan_for_another_bitmap_variant_is_rejected() {
+        let (_, layout, x) = setup(150, 0.0, 9);
+        let gin = GnnModel::gin(12, 4, 3, 0.3);
+        let w = ModelWeights::glorot(&gin, 1);
+        let norm = gin.normalization(layout.graph());
+        let gcn_plan = plan_for(
+            &layout,
+            ConsumerConfig::default(),
+            &GcnNormalization::symmetric(layout.graph()),
+        );
+        let gathered = x.gather_rows(layout.gather_order());
+        let mut merge = HubMergeState::new();
+        merge.begin_layer(layout.num_hubs(), 4);
+        let (input, act) = (LayerInput::Sparse(&gathered), Activation::Relu);
+        let range = 0..layout.partition().num_islands();
+        execute_islands(
+            &layout,
+            &gcn_plan,
+            input,
+            w.layer(0),
+            &norm,
+            act,
+            merge.y(),
+            range,
+            &mut IslandArena::new(),
+            &mut [],
+            &mut [],
+        );
     }
 
     #[test]
@@ -802,13 +935,13 @@ mod tests {
         let w = ModelWeights::glorot(&model, 3);
         let norm = model.normalization(layout.graph());
         let gathered = x.gather_rows(layout.gather_order());
-        let cfg = ConsumerConfig::default();
+        let plan = plan_for(&layout, ConsumerConfig::default(), &norm);
         let mut buf = vec![0.0f32; layout.graph().num_nodes() * 8];
         let mut scratch = LayerScratch::new();
         let mut run = |scratch: &mut LayerScratch| {
             let input = LayerInput::Sparse(&gathered);
             let (w, act) = (w.layer(0), Activation::Relu);
-            run_layer(&layout, cfg, input, w, &norm, act, None, scratch, &mut buf);
+            run_layer(&layout, &plan, input, w, &norm, act, None, scratch, &mut buf);
             buf.clone()
         };
         let first = run(&mut scratch);
@@ -846,10 +979,10 @@ mod tests {
         // The seam both serving shapes rely on: islands executed in any
         // split of ranges (threads, shards) produce the same bits.
         let (_, layout, x) = setup(240, 0.1, 22);
-        let cfg = ConsumerConfig::default();
         let model = GnnModel::gin(12, 7, 3, 0.3);
         let w = ModelWeights::glorot(&model, 5);
         let norm = model.normalization(layout.graph());
+        let plan = plan_for(&layout, ConsumerConfig::default(), &norm);
         let gathered = x.gather_rows(layout.gather_order());
         let input = LayerInput::Sparse(&gathered);
         let (n, h, width) = (layout.graph().num_nodes(), layout.num_hubs(), 7);
@@ -872,7 +1005,7 @@ mod tests {
                 let (w, act) = (w.layer(0), Activation::Relu);
                 execute_islands(
                     &layout,
-                    cfg,
+                    &plan,
                     input,
                     w,
                     &norm,
@@ -905,7 +1038,7 @@ mod tests {
         let range = 0..layout.partition().num_islands();
         execute_islands(
             &layout,
-            ConsumerConfig::default(),
+            &plan_for(&layout, ConsumerConfig::default(), &norm),
             input,
             w.layer(0),
             &norm,

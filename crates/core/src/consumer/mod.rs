@@ -10,13 +10,15 @@
 //! by separate inter-hub tasks in PUSH-outer-product order, after which
 //! hub outputs are finalised.
 //!
-//! The module is split by concern: [`executor`] computes the values (one
-//! implementation, shared by the single engine and the sharded fleet),
-//! and [`account`] derives the operation and traffic statistics from the
-//! layout, including the ring network model ([`ring`]).
+//! The module is split by concern: [`plan`] decides every island's window
+//! scan once per layout epoch, [`executor`] computes the values from it
+//! (one implementation, shared by the single engine and the sharded
+//! fleet), and [`account`] derives the operation and traffic statistics
+//! from the layout, including the ring network model ([`ring`]).
 
 pub mod account;
 pub mod executor;
+pub mod plan;
 pub mod ring;
 pub mod window;
 

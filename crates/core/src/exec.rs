@@ -15,6 +15,7 @@ use crate::accel::{
 use crate::config::{ConsumerConfig, ExecConfig, IslandizationConfig};
 use crate::consumer::account::{Accountant, AccountantCache};
 use crate::consumer::executor::{run_layer, LayerScratch};
+use crate::consumer::plan::{ScanPlan, ScanPlanCache};
 use crate::consumer::LayerInput;
 use crate::error::CoreError;
 use crate::incremental::apply_update_structural;
@@ -141,6 +142,9 @@ pub struct IGcnEngine {
     /// The structural accountant of the current layout, filled on first
     /// use; replaced by `prepare` and `apply_update`.
     accountant: AccountantCache,
+    /// The window-scan plan of the current layout, filled on first use;
+    /// replaced by `prepare` and `apply_update`.
+    scan_plans: ScanPlanCache,
 }
 
 /// Configures and builds an [`IGcnEngine`]; created by
@@ -203,6 +207,7 @@ impl IGcnEngineBuilder {
             pool,
             scratch: ScratchPool::new(),
             accountant: AccountantCache::default(),
+            scan_plans: ScanPlanCache::default(),
         })
     }
 }
@@ -282,6 +287,7 @@ impl IGcnEngineBuilder {
             pool,
             scratch: ScratchPool::new(),
             accountant: AccountantCache::default(),
+            scan_plans: ScanPlanCache::default(),
         })
     }
 }
@@ -351,6 +357,13 @@ impl IGcnEngine {
     /// permutation, permuted graph/partition, prebuilt bitmaps).
     pub fn layout(&self) -> &IslandLayout {
         &self.layout
+    }
+
+    /// The window-scan plan of the current layout for a model with
+    /// normalisation `norm` — built on first use and cached until
+    /// [`Accelerator::prepare`] or [`IGcnEngine::apply_update`].
+    pub fn scan_plan(&self, norm: &GcnNormalization) -> Arc<ScanPlan> {
+        self.scan_plans.get(&self.layout, self.consumer_cfg, norm)
     }
 
     /// The layout behind its shared handle (free to clone; used by the
@@ -456,6 +469,7 @@ impl IGcnEngine {
         self.partition = partition;
         self.locator_stats = stats;
         self.accountant = AccountantCache::default();
+        self.scan_plans = ScanPlanCache::default();
         Ok(reports)
     }
 
@@ -468,7 +482,7 @@ impl IGcnEngine {
     /// the hot path executes on; degrees are preserved by the layout
     /// permutation, so the scales equal the original-order ones
     /// bitwise.
-    fn plan(&self, model: &GnnModel) -> GcnNormalization {
+    fn normalization(&self, model: &GnnModel) -> GcnNormalization {
         model.normalization(self.layout.graph())
     }
 
@@ -489,6 +503,7 @@ impl IGcnEngine {
         assert!(!model.layers().is_empty(), "models have at least one layer");
         let layout = &*self.layout;
         let n = self.graph.num_nodes();
+        let plan = self.scan_plan(norm);
         let mut scratch = self.scratch.take();
         let ExecScratch { layer: layer_scratch, features: gathered, ping, pong } = &mut scratch;
         features.gather_rows_into(layout.gather_order(), gathered);
@@ -511,7 +526,7 @@ impl IGcnEngine {
             layer_tree_span.tag("waves", layout.schedule().num_waves());
             run_layer(
                 layout,
-                self.consumer_cfg,
+                &plan,
                 input,
                 w,
                 norm,
@@ -577,8 +592,8 @@ impl IGcnEngine {
     ) -> Result<(DenseMatrix, ExecStats), CoreError> {
         self.check_features(features, model)?;
         validate_weights(model, weights)?;
-        let plan = self.plan(model);
-        let out = self.execute_layout(&plan, features, model, weights, self.island_pool());
+        let norm = self.normalization(model);
+        let out = self.execute_layout(&norm, features, model, weights, self.island_pool());
         Ok((out, self.stats(features, model, self.island_workers())))
     }
 
@@ -645,16 +660,17 @@ impl Accelerator for IGcnEngine {
         validate_weights(model, weights)?;
         self.prepared = Some((model.clone(), weights.clone()));
         self.accountant = AccountantCache::default();
+        self.scan_plans = ScanPlanCache::default();
         Ok(())
     }
 
     fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
         let (model, weights) = self.prepared()?;
         validate_request(&self.graph, model, request)?;
-        let plan = self.plan(model);
+        let norm = self.normalization(model);
         let _trace = igcn_obs::trace::with_ambient(request.trace);
         let output =
-            self.execute_layout(&plan, &request.features, model, weights, self.island_pool());
+            self.execute_layout(&norm, &request.features, model, weights, self.island_pool());
         Ok(self.respond(model, request, output, self.island_workers()))
     }
 
@@ -671,7 +687,7 @@ impl Accelerator for IGcnEngine {
         // Amortise the per-call setup across the batch: the Ã
         // normalisation depends only on the graph and model, not on
         // the request.
-        let plan = self.plan(model);
+        let norm = self.normalization(model);
         // Validate the whole batch up front (first failure aborts), so
         // the parallel path never does work for a doomed batch.
         for request in requests {
@@ -690,7 +706,7 @@ impl Accelerator for IGcnEngine {
                         // threads — re-install each request's own.
                         let _trace = igcn_obs::trace::with_ambient(request.trace);
                         let output =
-                            self.execute_layout(&plan, &request.features, model, weights, None);
+                            self.execute_layout(&norm, &request.features, model, weights, None);
                         Ok(self.respond(model, request, output, 1))
                     })
                     .into_iter()
@@ -702,7 +718,7 @@ impl Accelerator for IGcnEngine {
             .map(|request| {
                 let _trace = igcn_obs::trace::with_ambient(request.trace);
                 let output = self.execute_layout(
-                    &plan,
+                    &norm,
                     &request.features,
                     model,
                     weights,

@@ -229,23 +229,42 @@ impl IslandBitmap {
         if start >= end {
             return 0;
         }
-        let mut mask = 0u64;
-        for (offset, col) in (start..end).enumerate() {
-            if self.get(row, col) {
-                mask |= 1 << offset;
-            }
+        // One shift of the row word holding `start`, plus the next
+        // word's low bits when the window crosses a word boundary.
+        let words = self.row_words(row);
+        let (w, shift) = (start / 64, start % 64);
+        let mut mask = words[w] >> shift;
+        if shift != 0 && w + 1 < words.len() {
+            mask |= words[w + 1] << (64 - shift);
+        }
+        let len = end - start;
+        if len < 64 {
+            mask &= (1u64 << len) - 1;
         }
         mask
     }
 
-    /// Iterates over the set columns of one row.
+    /// Iterates over the set columns of one row, in ascending order.
     ///
     /// # Panics
     ///
     /// Panics if `row >= dim()`.
     pub fn row_cols(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
         assert!(row < self.dim, "row out of range");
-        (0..self.dim).filter(move |&c| self.get(row, c))
+        self.row_words(row).iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+
+    fn row_words(&self, row: usize) -> &[u64] {
+        &self.bits[row * self.words_per_row..][..self.words_per_row]
     }
 }
 
@@ -334,6 +353,49 @@ mod tests {
         assert_eq!(bm.nnz(), 140);
         assert!(bm.get(0, 70));
         assert!(bm.get(70, 0));
+    }
+
+    #[test]
+    fn word_windows_match_per_bit_reads() {
+        // 150 columns span three words per row; a pseudo-random graph
+        // sets bits on both sides of every word boundary.
+        let n = 150u32;
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut edges = Vec::new();
+        for u in 0..n {
+            for v in u + 1..n {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                if s.is_multiple_of(3) {
+                    edges.push((u, v));
+                }
+            }
+        }
+        let g = CsrGraph::from_undirected_edges(n as usize, &edges).unwrap();
+        let nodes: Vec<u32> = (3..n).collect();
+        for diagonal in [false, true] {
+            let bm = IslandBitmap::build(&g, &[0, 1, 2], &nodes, diagonal);
+            assert!(bm.dim() > 128);
+            for row in 0..bm.dim() {
+                let cols: Vec<usize> = (0..bm.dim()).filter(|&c| bm.get(row, c)).collect();
+                assert_eq!(bm.row_cols(row).collect::<Vec<_>>(), cols, "row {row}");
+                for start in 0..bm.dim() + 2 {
+                    // The per-bit mask of width w extends width w - 1's.
+                    let mut expect = 0u64;
+                    for width in 0..=64 {
+                        if width > 0 && start + width <= bm.dim() {
+                            expect |= u64::from(bm.get(row, start + width - 1)) << (width - 1);
+                        }
+                        assert_eq!(
+                            bm.window(row, start, width),
+                            expect,
+                            "({row}, {start}, {width})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

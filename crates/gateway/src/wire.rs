@@ -1,13 +1,22 @@
-//! The length-prefixed binary wire protocol.
+//! The length-prefixed binary wire protocol, version 3.
 //!
 //! Framing follows the `igcn-store` snapshot conventions — magic,
-//! little-endian version, little-endian payload length, FNV-1a-64
-//! checksum ([`igcn_store::snapshot::fnv1a64`]), a trace id, then the
-//! payload:
+//! little-endian version, little-endian payload length, a 64-bit
+//! payload checksum, a trace id, then the payload:
 //!
 //! ```text
 //! magic(4) | version(u32 LE) | payload_len(u64 LE) | checksum(u64 LE) | trace_id(u64 LE) | payload
 //! ```
+//!
+//! The checksum is XXH64 with seed 0 over the payload ([`xxh64`],
+//! implemented here). It consumes the payload a 32-byte stripe at a
+//! time in four independent 64-bit lanes, where version 2's FNV-1a-64
+//! took one byte per dependent multiply — on the multi-megabyte
+//! `Infer` frames of a Pubmed-sized graph that serial loop was about
+//! half of the decode time. The header layout is unchanged from version 2;
+//! only the checksum function (and therefore the version) differs, so
+//! a version-2 peer is refused by version rather than by a checksum
+//! mismatch.
 //!
 //! The trace id correlates a request across the gateway's telemetry
 //! (flight recorder, slow-request log lines) and is echoed verbatim on
@@ -15,7 +24,7 @@
 //! one. It lives in the header — not the payload — so it is readable
 //! even on frames whose payload fails to parse, and it is deliberately
 //! excluded from the checksum's coverage (the checksum guards the
-//! payload, exactly as in version 1).
+//! payload only).
 //!
 //! The magic's first byte is `0x89` — not a valid leading byte of any
 //! HTTP method — which is how the gateway sniffs the protocol from the
@@ -23,20 +32,22 @@
 //! `kind(u8) | id(u64 LE) | body`; see [`Frame`] for the per-kind body
 //! layouts. All floats travel as raw little-endian IEEE-754 bits, so
 //! the binary protocol is bit-exact by construction (NaN payloads
-//! included).
+//! included). The decoder bounds every length and count field by the
+//! bytes the payload actually holds before it reserves anything, then
+//! converts whole arrays at once.
 
 use igcn_graph::SparseFeatures;
 use igcn_linalg::DenseMatrix;
-use igcn_store::snapshot::fnv1a64;
 
 /// Frame magic: `0x89` (never a printable HTTP byte) then `IGW`.
 pub const WIRE_MAGIC: [u8; 4] = [0x89, b'I', b'G', b'W'];
 
-/// Wire format version. Bumped on any layout change; the server
-/// rejects frames with a different version rather than guessing.
+/// Wire format version. Bumped on any layout or checksum change; the
+/// server rejects frames with a different version rather than guessing.
 /// Version 2 added the header `trace_id` field (version 1 had a
-/// 24-byte header ending at the checksum).
-pub const WIRE_VERSION: u32 = 2;
+/// 24-byte header ending at the checksum); version 3 replaced the
+/// payload checksum FNV-1a-64 with [`xxh64`].
+pub const WIRE_VERSION: u32 = 3;
 
 /// Fixed header size: magic + version + payload_len + checksum +
 /// trace_id.
@@ -187,67 +198,63 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
 /// Encodes one frame, header included, stamping `trace_id` into the
 /// header's trace field.
 pub fn encode_traced(frame: &Frame, trace_id: u64) -> Vec<u8> {
-    let mut payload = Vec::new();
+    // The payload is written straight behind a header placeholder; the
+    // length and checksum are filled in once it is complete.
+    let mut out = vec![0u8; HEADER_LEN];
     match frame {
         Frame::Infer { id, deadline_ms, features } => {
-            payload.push(KIND_INFER);
-            put_u64(&mut payload, *id);
-            put_u64(&mut payload, *deadline_ms);
-            put_u64(&mut payload, features.num_rows() as u64);
-            put_u64(&mut payload, features.num_cols() as u64);
-            put_u64(&mut payload, features.nnz() as u64);
-            for &p in features.row_ptr() {
-                put_u64(&mut payload, p as u64);
-            }
-            for &c in features.col_idx() {
-                payload.extend_from_slice(&c.to_le_bytes());
-            }
-            for &v in features.values() {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
+            let (rows, nnz) = (features.num_rows(), features.nnz());
+            out.reserve(1 + 8 * 5 + (rows + 1) * 8 + nnz * 8);
+            out.push(KIND_INFER);
+            put_u64(&mut out, *id);
+            put_u64(&mut out, *deadline_ms);
+            put_u64(&mut out, rows as u64);
+            put_u64(&mut out, features.num_cols() as u64);
+            put_u64(&mut out, nnz as u64);
+            out.extend(features.row_ptr().iter().flat_map(|&p| (p as u64).to_le_bytes()));
+            out.extend(features.col_idx().iter().flat_map(|c| c.to_le_bytes()));
+            out.extend(features.values().iter().flat_map(|v| v.to_le_bytes()));
         }
         Frame::Ok { id, output } => {
-            payload.push(KIND_OK);
-            put_u64(&mut payload, *id);
-            put_u64(&mut payload, output.rows() as u64);
-            put_u64(&mut payload, output.cols() as u64);
-            for &v in output.as_slice() {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
+            out.reserve(1 + 8 * 3 + output.as_slice().len() * 4);
+            out.push(KIND_OK);
+            put_u64(&mut out, *id);
+            put_u64(&mut out, output.rows() as u64);
+            put_u64(&mut out, output.cols() as u64);
+            out.extend(output.as_slice().iter().flat_map(|v| v.to_le_bytes()));
         }
         Frame::Err { id, message } => {
-            payload.push(KIND_ERR);
-            put_u64(&mut payload, *id);
-            put_u64(&mut payload, message.len() as u64);
-            payload.extend_from_slice(message.as_bytes());
+            out.push(KIND_ERR);
+            put_u64(&mut out, *id);
+            put_u64(&mut out, message.len() as u64);
+            out.extend_from_slice(message.as_bytes());
         }
         Frame::Shed { id } => {
-            payload.push(KIND_SHED);
-            put_u64(&mut payload, *id);
+            out.push(KIND_SHED);
+            put_u64(&mut out, *id);
         }
         Frame::Deadline { id } => {
-            payload.push(KIND_DEADLINE);
-            put_u64(&mut payload, *id);
+            out.push(KIND_DEADLINE);
+            put_u64(&mut out, *id);
         }
         Frame::HealthCheck { id } => {
-            payload.push(KIND_HEALTH_CHECK);
-            put_u64(&mut payload, *id);
+            out.push(KIND_HEALTH_CHECK);
+            put_u64(&mut out, *id);
         }
         Frame::Health { id, state, detail } => {
-            payload.push(KIND_HEALTH);
-            put_u64(&mut payload, *id);
-            payload.push(state.as_u8());
-            put_u64(&mut payload, detail.len() as u64);
-            payload.extend_from_slice(detail.as_bytes());
+            out.push(KIND_HEALTH);
+            put_u64(&mut out, *id);
+            out.push(state.as_u8());
+            put_u64(&mut out, detail.len() as u64);
+            out.extend_from_slice(detail.as_bytes());
         }
     }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&WIRE_MAGIC);
-    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    out.extend_from_slice(&trace_id.to_le_bytes());
-    out.extend_from_slice(&payload);
+    let (header, payload) = out.split_at_mut(HEADER_LEN);
+    header[..4].copy_from_slice(&WIRE_MAGIC);
+    header[4..8].copy_from_slice(&WIRE_VERSION.to_le_bytes());
+    header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[16..24].copy_from_slice(&xxh64(payload).to_le_bytes());
+    header[24..32].copy_from_slice(&trace_id.to_le_bytes());
     out
 }
 
@@ -278,13 +285,81 @@ pub fn decode(buf: &[u8]) -> Decoded {
         return Decoded::NeedMore;
     }
     let payload = &buf[HEADER_LEN..total];
-    if fnv1a64(payload) != checksum {
+    if xxh64(payload) != checksum {
         return Decoded::Corrupt("frame checksum mismatch".to_string());
     }
     match decode_payload(payload) {
         Ok(frame) => Decoded::Frame(frame, trace_id, total),
         Err(msg) => Decoded::Corrupt(msg),
     }
+}
+
+const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh64_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(PRIME64_2)).rotate_left(31).wrapping_mul(PRIME64_1)
+}
+
+fn xxh64_merge(hash: u64, acc: u64) -> u64 {
+    (hash ^ xxh64_round(0, acc)).wrapping_mul(PRIME64_1).wrapping_add(PRIME64_4)
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+/// XXH64 of `data` with seed 0 — the payload checksum of wire version 3
+/// (the reference algorithm of the xxHash specification: four lanes
+/// over 32-byte stripes, then the 8-, 4- and 1-byte tail, then the
+/// avalanche).
+pub fn xxh64(data: &[u8]) -> u64 {
+    let mut stripes = data.chunks_exact(32);
+    let mut hash = if data.len() >= 32 {
+        let mut acc =
+            [PRIME64_1.wrapping_add(PRIME64_2), PRIME64_2, 0, 0u64.wrapping_sub(PRIME64_1)];
+        for stripe in &mut stripes {
+            for (lane, word) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh64_round(*lane, le_u64(word));
+            }
+        }
+        let mut hash = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        for lane in acc {
+            hash = xxh64_merge(hash, lane);
+        }
+        hash
+    } else {
+        PRIME64_5
+    };
+    hash = hash.wrapping_add(data.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        hash ^= xxh64_round(0, le_u64(word));
+        hash = hash.rotate_left(27).wrapping_mul(PRIME64_1).wrapping_add(PRIME64_4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let half = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        hash ^= u64::from(half).wrapping_mul(PRIME64_1);
+        hash = hash.rotate_left(23).wrapping_mul(PRIME64_2).wrapping_add(PRIME64_3);
+        tail = &tail[4..];
+    }
+    for &byte in tail {
+        hash ^= u64::from(byte).wrapping_mul(PRIME64_5);
+        hash = hash.rotate_left(11).wrapping_mul(PRIME64_1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(PRIME64_2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(PRIME64_3);
+    hash ^ (hash >> 32)
 }
 
 fn decode_payload(payload: &[u8]) -> Result<Frame, String> {
@@ -300,18 +375,17 @@ fn decode_payload(payload: &[u8]) -> Result<Frame, String> {
             let rows = r.count_field("rows", 8)?;
             let cols = r.dim_field("cols")?;
             let nnz = r.count_field("nnz", 8)?;
-            let mut row_ptr = Vec::with_capacity(rows + 1);
-            for _ in 0..=rows {
-                row_ptr.push(r.dim_field("row_ptr entry")?);
-            }
-            let mut col_idx = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                col_idx.push(r.u32()?);
-            }
-            let mut values = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                values.push(f32::from_le_bytes(r.bytes(4)?.try_into().expect("4 bytes")));
-            }
+            let row_ptr = r
+                .bytes((rows + 1) * 8)?
+                .chunks_exact(8)
+                .map(|b| checked_dim("row_ptr entry", le_u64(b)))
+                .collect::<Result<Vec<usize>, String>>()?;
+            let col_idx: Vec<u32> = r
+                .bytes(nnz * 4)?
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
+                .collect();
+            let values = f32s(r.bytes(nnz * 4)?);
             let features = SparseFeatures::from_raw_parts(rows, cols, row_ptr, col_idx, values)
                 .map_err(|e| format!("invalid sparse features: {e}"))?;
             Frame::Infer { id, deadline_ms, features }
@@ -327,10 +401,7 @@ fn decode_payload(payload: &[u8]) -> Result<Frame, String> {
                     r.remaining()
                 ));
             }
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(f32::from_le_bytes(r.bytes(4)?.try_into().expect("4 bytes")));
-            }
+            let data = f32s(r.bytes(n * 4)?);
             Frame::Ok { id, output: DenseMatrix::from_vec(rows, cols, data) }
         }
         KIND_ERR => {
@@ -368,6 +439,21 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Little-endian f32s, converted as a whole array.
+fn f32s(bytes: &[u8]) -> Vec<f32> {
+    bytes.chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes"))).collect()
+}
+
+/// A u64 scalar (dimension or pointer) value that never drives an
+/// allocation by itself: only sanity-capped so the `usize` conversion
+/// and later arithmetic stay well-behaved.
+fn checked_dim(what: &str, v: u64) -> Result<usize, String> {
+    if v > MAX_PAYLOAD {
+        return Err(format!("{what} of {v} is implausibly large"));
+    }
+    Ok(v as usize)
+}
+
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -387,27 +473,18 @@ impl<'a> Reader<'a> {
         Ok(self.bytes(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
-    }
-
     fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
+        Ok(le_u64(self.bytes(8)?))
     }
 
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    /// A u64 scalar (dimension or pointer) field that never drives an
-    /// allocation by itself: only sanity-capped so the `usize`
-    /// conversion and later arithmetic stay well-behaved.
+    /// A u64 scalar (dimension) field, sanity-capped by
+    /// [`checked_dim`].
     fn dim_field(&mut self, what: &str) -> Result<usize, String> {
-        let v = self.u64()?;
-        if v > MAX_PAYLOAD {
-            return Err(format!("{what} of {v} is implausibly large"));
-        }
-        Ok(v as usize)
+        checked_dim(what, self.u64()?)
     }
 
     /// A u64 element-count field whose elements occupy `elem_bytes`
@@ -429,6 +506,37 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use igcn_store::snapshot::fnv1a64;
+
+    #[test]
+    fn xxh64_matches_known_answers() {
+        // Reference values of XXH64 with seed 0; the last input is long
+        // enough to run the 32-byte stripe loop, the others exercise
+        // the 1-, 4- and 8-byte tails.
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(xxh64(b"Nobody inspects the spammish repetition"), 0xFBCE_A83C_8A37_8BF1);
+    }
+
+    #[test]
+    fn every_single_bit_flip_in_a_payload_fails_the_checksum() {
+        let frame = Frame::Health {
+            id: 0x0102_0304_0506_0708,
+            state: HealthState::Degraded,
+            detail: "one shard down".to_string(),
+        };
+        let bytes = encode(&frame);
+        assert!(matches!(decode(&bytes), Decoded::Frame(..)));
+        for bit in 0..(bytes.len() - HEADER_LEN) * 8 {
+            let mut flipped = bytes.clone();
+            flipped[HEADER_LEN + bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                matches!(decode(&flipped), Decoded::Corrupt(msg) if msg.contains("checksum")),
+                "flipping payload bit {bit} went unnoticed"
+            );
+        }
+    }
 
     fn features() -> SparseFeatures {
         SparseFeatures::from_raw_parts(
@@ -503,7 +611,7 @@ mod tests {
     #[test]
     fn version_1_frames_are_cleanly_rejected() {
         // A byte-faithful version-1 frame: 24-byte header with no
-        // trace field. The v2 decoder must refuse it with a version
+        // trace field. The decoder must refuse it with a version
         // message — not misparse the payload's first 8 bytes as a
         // trace id.
         let mut payload = vec![KIND_SHED];
@@ -517,6 +625,26 @@ mod tests {
         assert!(
             matches!(decode(&v1), Decoded::Corrupt(msg) if msg.contains("version 1")),
             "a v1 frame must be rejected by version, not misparsed"
+        );
+    }
+
+    #[test]
+    fn version_2_frames_are_cleanly_rejected() {
+        // A byte-faithful version-2 frame: the same header layout with
+        // an FNV-1a-64 payload checksum. The v3 decoder must refuse it
+        // by version, not report a checksum mismatch.
+        let mut payload = vec![KIND_SHED];
+        payload.extend_from_slice(&3u64.to_le_bytes());
+        let mut v2 = Vec::new();
+        v2.extend_from_slice(&WIRE_MAGIC);
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        v2.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        v2.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        v2.extend_from_slice(&0u64.to_le_bytes()); // trace id
+        v2.extend_from_slice(&payload);
+        assert!(
+            matches!(decode(&v2), Decoded::Corrupt(msg) if msg.contains("unsupported wire version 2")),
+            "a v2 frame must be rejected by version"
         );
     }
 
@@ -554,7 +682,7 @@ mod tests {
         out.extend_from_slice(&WIRE_MAGIC);
         out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        out.extend_from_slice(&xxh64(payload).to_le_bytes());
         out.extend_from_slice(&0u64.to_le_bytes()); // trace id
         out.extend_from_slice(payload);
         out

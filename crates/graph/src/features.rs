@@ -228,13 +228,20 @@ impl SparseFeatures {
         out.row_ptr.clear();
         out.col_idx.clear();
         out.values.clear();
+        let nnz: usize = order
+            .iter()
+            .map(|&src| {
+                let r = src as usize;
+                assert!(r < self.num_rows, "row {src} out of range for {} rows", self.num_rows);
+                self.row_ptr[r + 1] - self.row_ptr[r]
+            })
+            .sum();
         out.row_ptr.reserve(order.len() + 1);
-        out.col_idx.reserve(self.col_idx.len());
-        out.values.reserve(self.values.len());
+        out.col_idx.reserve(nnz);
+        out.values.reserve(nnz);
         out.row_ptr.push(0);
         for &src in order {
             let r = src as usize;
-            assert!(r < self.num_rows, "row {src} out of range for {} rows", self.num_rows);
             let range = self.row_ptr[r]..self.row_ptr[r + 1];
             out.col_idx.extend_from_slice(&self.col_idx[range.clone()]);
             out.values.extend_from_slice(&self.values[range]);
@@ -261,6 +268,14 @@ impl SparseFeatures {
         self.values.clear();
         self.row_ptr.push(0);
         CsrRowWriter { target: self }
+    }
+
+    /// Heap bytes currently reserved by the CSR arrays (the observable
+    /// of scratch-reuse tests: a reused buffer must stop growing).
+    pub fn reserved_bytes(&self) -> usize {
+        self.row_ptr.capacity() * std::mem::size_of::<usize>()
+            + self.col_idx.capacity() * 4
+            + self.values.capacity() * 4
     }
 
     /// Raw row-pointer array (length `num_rows + 1`).

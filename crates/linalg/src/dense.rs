@@ -105,6 +105,12 @@ impl DenseMatrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Heap bytes currently reserved by the buffer (the observable of
+    /// scratch-reuse tests: a reused matrix must stop growing).
+    pub fn reserved_bytes(&self) -> usize {
+        self.data.capacity() * 4
+    }
+
     /// The full row-major buffer.
     pub fn as_slice(&self) -> &[f32] {
         &self.data

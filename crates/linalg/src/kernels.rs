@@ -18,6 +18,22 @@ pub fn axpy_f32(acc: &mut [f32], x: &[f32], alpha: f32) {
     simd::axpy(acc, x, alpha);
 }
 
+/// Whole-row gather-accumulate `out[j] += Σ_i alpha[i] · rows[idx[i]·stride + j]`
+/// over `j < out.len()`: one call per output row of the island hot path
+/// (sparse and dense combination, the scan plan's aggregation). Terms
+/// accumulate in index order with non-fused multiply + add, so the
+/// result equals one [`axpy_f32`] per term bit for bit, while the
+/// accumulators stay in registers across the terms.
+///
+/// # Panics
+///
+/// Panics if `idx` and `alpha` differ in length, `out` is wider than
+/// `stride`, or a gathered row runs past the end of `rows`.
+#[inline]
+pub fn gather_axpy_f32(out: &mut [f32], rows: &[f32], stride: usize, idx: &[u32], alpha: &[f32]) {
+    simd::gather_axpy(out, rows, stride, idx, alpha);
+}
+
 /// `xs[i] *= s` for every element (the normalisation-scale application),
 /// dispatched once per call to the active SIMD backend.
 #[inline]
@@ -194,6 +210,20 @@ mod tests {
             *e *= 0.25;
         }
         assert_eq!(acc, expect);
+    }
+
+    #[test]
+    fn gather_axpy_equals_one_axpy_per_term() {
+        let rows = pseudo(5, 6 * 19);
+        let (idx, alpha) = ([4u32, 0, 4, 5, 2], [0.5f32, -1.0, 1.0, 0.0, 3.0]);
+        let mut got = pseudo(6, 19);
+        let mut expect = got.clone();
+        gather_axpy_f32(&mut got, &rows, 19, &idx, &alpha);
+        for (&i, &a) in idx.iter().zip(&alpha) {
+            axpy_f32(&mut expect, &rows[i as usize * 19..][..19], a);
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&expect));
     }
 
     #[test]

@@ -20,8 +20,9 @@
 
 //! # Kernels & SIMD
 //!
-//! The hot loops live in [`kernels`] ([`kernels::axpy_f32`],
-//! [`kernels::scale_f32`], [`kernels::gemm_blocked_into`]) on top of the
+//! The hot loops live in [`kernels`] ([`kernels::gather_axpy_f32`],
+//! [`kernels::axpy_f32`], [`kernels::scale_f32`],
+//! [`kernels::gemm_blocked_into`]) on top of the
 //! vendored `igcn-simd` backend layer (scalar / AVX2 / NEON, dispatched
 //! once per call). Every kernel vectorizes across *feature columns* —
 //! independent output elements — and uses non-fused multiply + add, so

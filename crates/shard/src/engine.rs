@@ -167,6 +167,55 @@ pub struct ShardStructure {
     pub contrib_slots: usize,
 }
 
+/// Per-request scratch of the whole fleet — one [`ShardRunState`] per
+/// shard plus the coordinator's hub side — pooled as one set.
+struct FleetRunState {
+    shards: Vec<ShardRunState>,
+    /// Layer 0's hub input rows, in layout hub order.
+    hub_feats: SparseFeatures,
+    /// The previous layer's finalised hub rows (the next halo payload).
+    hub_acts: DenseMatrix,
+    merge: HubMergeState,
+}
+
+impl FleetRunState {
+    fn empty(num_shards: usize) -> FleetRunState {
+        FleetRunState {
+            shards: (0..num_shards).map(|_| ShardRunState::empty()).collect(),
+            hub_feats: empty_features(),
+            hub_acts: DenseMatrix::zeros(0, 0),
+            merge: HubMergeState::new(),
+        }
+    }
+
+    /// Bytes reserved across every buffer of the set.
+    #[cfg(test)]
+    fn reserved_bytes(&self) -> usize {
+        let shards: usize = self
+            .shards
+            .iter()
+            .map(|st| {
+                st.gathered.reserved_bytes()
+                    + st.ping.reserved_bytes()
+                    + st.pong.reserved_bytes()
+                    + (st.contrib.capacity() + st.hub_y.capacity()) * 4
+                    + st.arena.reserved_bytes()
+            })
+            .sum();
+        shards
+            + self.hub_feats.reserved_bytes()
+            + self.hub_acts.reserved_bytes()
+            + self.merge.reserved_bytes()
+    }
+}
+
+fn empty_features() -> SparseFeatures {
+    // invariant: the 0×0 CSR with offsets [0] is structurally valid by
+    // construction; `from_raw_parts` cannot reject it.
+    SparseFeatures::from_raw_parts(0, 0, vec![0], Vec::new(), Vec::new())
+        .expect("empty features are well-formed")
+}
+
 /// Per-request, per-shard scratch of the layer driver.
 struct ShardRunState {
     /// Request features gathered to local IDs (halo hub rows first).
@@ -185,10 +234,7 @@ struct ShardRunState {
 impl ShardRunState {
     fn empty() -> ShardRunState {
         ShardRunState {
-            // invariant: the 0×0 CSR with offsets [0] is structurally
-            // valid by construction; `from_raw_parts` cannot reject it.
-            gathered: SparseFeatures::from_raw_parts(0, 0, vec![0], Vec::new(), Vec::new())
-                .expect("empty features are well-formed"),
+            gathered: empty_features(),
             ping: DenseMatrix::zeros(0, 0),
             pong: DenseMatrix::zeros(0, 0),
             contrib: Vec::new(),
@@ -202,20 +248,21 @@ impl ShardRunState {
 /// requests beyond the cap allocate fresh and are dropped on return.
 const SHARD_STATE_POOL_CAP: usize = 8;
 
-/// Pools complete per-request shard-state sets (one [`ShardRunState`]
-/// per shard) so steady-state serving reallocates nothing per inference
-/// — the fleet counterpart of the single engine's `ScratchPool`. The
-/// driver re-gathers `gathered` and resizes every buffer in place each
-/// request, so pooled capacity is shape-agnostic; the pool is still
-/// cleared at every [`ShardedEngine::apply_update`] commit so stale
-/// capacity does not outlive a resharding. Shared (`Arc`) across engine
-/// clones, like the thread pool.
+/// Pools complete per-request state sets ([`FleetRunState`]: one
+/// [`ShardRunState`] per shard plus the hub merge side) so steady-state
+/// serving reallocates nothing per inference — the fleet counterpart of
+/// the single engine's `ScratchPool`. The driver re-gathers the feature
+/// buffers and resizes every buffer in place each request, so pooled
+/// capacity is shape-agnostic; the pool is still cleared at every
+/// [`ShardedEngine::apply_update`] commit so stale capacity does not
+/// outlive a resharding. Shared (`Arc`) across engine clones, like the
+/// thread pool.
 struct ShardStatePool {
     // invariant: this lock is only ever held across plain Vec
     // operations (no user code, no panics mid-critical-section), so it
     // cannot be poisoned; the `expect`s below document that rather than
     // guard a reachable failure.
-    sets: Mutex<Vec<Vec<ShardRunState>>>,
+    sets: Mutex<Vec<FleetRunState>>,
 }
 
 impl ShardStatePool {
@@ -224,13 +271,13 @@ impl ShardStatePool {
     }
 
     /// Takes a pooled set matching the fleet width, if any.
-    fn take(&self, num_shards: usize) -> Option<Vec<ShardRunState>> {
+    fn take(&self, num_shards: usize) -> Option<FleetRunState> {
         let mut sets = self.sets.lock().expect("shard state pool lock");
-        let at = sets.iter().position(|set| set.len() == num_shards)?;
+        let at = sets.iter().position(|set| set.shards.len() == num_shards)?;
         Some(sets.swap_remove(at))
     }
 
-    fn put(&self, set: Vec<ShardRunState>) {
+    fn put(&self, set: FleetRunState) {
         let mut sets = self.sets.lock().expect("shard state pool lock");
         if sets.len() < SHARD_STATE_POOL_CAP {
             sets.push(set);
@@ -244,6 +291,12 @@ impl ShardStatePool {
     #[cfg(test)]
     fn pooled(&self) -> usize {
         self.sets.lock().expect("shard state pool lock").len()
+    }
+
+    #[cfg(test)]
+    fn pooled_bytes(&self) -> usize {
+        let sets = self.sets.lock().expect("shard state pool lock");
+        sets.iter().map(FleetRunState::reserved_bytes).sum()
     }
 }
 
@@ -533,6 +586,12 @@ impl ShardedEngine {
         self.state_pool.pooled()
     }
 
+    /// Bytes reserved by the idle pooled state sets (test hook).
+    #[cfg(test)]
+    pub(crate) fn pooled_state_bytes(&self) -> usize {
+        self.state_pool.pooled_bytes()
+    }
+
     /// The shards, in shard-index order.
     pub fn shards(&self) -> &[Shard] {
         &self.shards
@@ -785,17 +844,17 @@ impl ShardedEngine {
         let n = self.graph.num_nodes();
         let sw = norm.self_weight();
 
-        // Hub input rows for layer 0, in layout hub order.
-        let hub_feats = features.gather_rows(&layout.gather_order()[..num_hubs]);
-        let mut hub_acts = DenseMatrix::zeros(0, 0);
-        let mut merge = HubMergeState::new();
-        // Pooled per-shard states: only `gathered` carries request data
-        // into a layer (everything else is cleared or fully overwritten
-        // per layer), so re-gathering it is all a reused set needs.
-        let mut states: Vec<ShardRunState> = self
+        // Pooled state set: only the gathered features carry request
+        // data into a layer (everything else is cleared or fully
+        // overwritten per layer), so re-gathering them is all a reused
+        // set needs.
+        let mut set = self
             .state_pool
             .take(self.shards.len())
-            .unwrap_or_else(|| self.shards.iter().map(|_| ShardRunState::empty()).collect());
+            .unwrap_or_else(|| FleetRunState::empty(self.shards.len()));
+        let FleetRunState { shards: states, hub_feats, hub_acts, merge } = &mut set;
+        // Hub input rows for layer 0, in layout hub order.
+        features.gather_rows_into(&layout.gather_order()[..num_hubs], hub_feats);
         for (shard, st) in self.shards.iter().zip(states.iter_mut()) {
             features.gather_rows_into(&shard.gather_original, &mut st.gathered);
         }
@@ -826,7 +885,7 @@ impl ShardedEngine {
 
             // 1. Hub XW slab from the merged hub activations.
             let hub_input =
-                if li == 0 { LayerInput::Sparse(&hub_feats) } else { LayerInput::Dense(&hub_acts) };
+                if li == 0 { LayerInput::Sparse(hub_feats) } else { LayerInput::Dense(hub_acts) };
             merge.fill_y(hub_input, w, norm, pool);
 
             // 2. Shard-local island execution (fanned across the pool
@@ -836,7 +895,6 @@ impl ShardedEngine {
                 let hub_slab: &[f32] = merge.y();
                 let first_layer = li == 0;
                 let activation = layer.activation;
-                let consumer_cfg = self.consumer_cfg;
                 // Contained shard failures for this layer: (shard,
                 // panic message). AssertUnwindSafe is justified because
                 // a panicking shard's state set is discarded wholesale
@@ -860,7 +918,6 @@ impl ShardedEngine {
                             activation,
                             hub_slab,
                             width,
-                            consumer_cfg,
                         );
                     }));
                     if let Err(payload) = outcome {
@@ -882,7 +939,7 @@ impl ShardedEngine {
                         igcn_obs::counter("shard_contained_panics").inc();
                     }
                     let (shard, detail) = failed.swap_remove(0);
-                    // `states` is dropped here, not returned to the
+                    // The set is dropped here, not returned to the
                     // pool: a torn state set must never be reused.
                     return Err(ShardError::ShardFailed { shard, detail });
                 }
@@ -908,7 +965,7 @@ impl ShardedEngine {
             // 4. Finalise hub rows — next layer's halo payload.
             hub_acts.resize_in_place(num_hubs, width);
             merge.finalize_into(norm, layer.activation, hub_acts.as_mut_slice());
-            for st in &mut states {
+            for st in states.iter_mut() {
                 std::mem::swap(&mut st.ping, &mut st.pong);
             }
         }
@@ -920,14 +977,14 @@ impl ShardedEngine {
             let orig = layout.gather_order()[h] as usize;
             out.row_mut(orig).copy_from_slice(hub_acts.row(h));
         }
-        for (shard, st) in self.shards.iter().zip(&states) {
+        for (shard, st) in self.shards.iter().zip(states.iter()) {
             let hs = shard.num_hubs();
             for l in hs..shard.num_nodes() {
                 let orig = shard.gather_original[l] as usize;
                 out.row_mut(orig).copy_from_slice(st.ping.row(l));
             }
         }
-        self.state_pool.put(states);
+        self.state_pool.put(set);
         Ok(out)
     }
 
@@ -1419,7 +1476,6 @@ fn run_shard_layer(
     activation: igcn_gnn::Activation,
     global_hub_y: &[f32],
     width: usize,
-    consumer_cfg: ConsumerConfig,
 ) {
     // Chaos seam: `panic`-action injections here simulate a shard
     // dying mid-layer; the fan-out above contains the unwind.
@@ -1446,7 +1502,7 @@ fn run_shard_layer(
     let _layer_span = igcn_obs::Span::enter(igcn_obs::stage::LAYER_EXECUTE);
     execute_islands(
         shard.engine.layout(),
-        consumer_cfg,
+        &shard.engine.scan_plan(norm),
         input,
         weights,
         norm,

@@ -259,6 +259,29 @@ mod tests {
     }
 
     #[test]
+    fn pooled_state_stops_growing_after_the_first_request() {
+        // Every per-request buffer of the fleet — shard states, the hub
+        // feature gather, the hub merge slabs and activations — lives in
+        // the pooled set, sequential and with a pool of threads.
+        let (graph, model, weights, x) = setup(25);
+        let reference = single(&graph, &model, &weights);
+        let request = InferenceRequest::new(x);
+        let expected = reference.infer(&request).unwrap().output;
+        for threads in [1usize, 2] {
+            let mut sharded = ShardedEngine::from_engine(&reference, 2).unwrap();
+            sharded.set_exec_config(ExecConfig::default().with_threads(threads));
+            assert_eq!(sharded.infer(&request).unwrap().output, expected);
+            let warm = sharded.pooled_state_bytes();
+            assert!(warm > 0);
+            for _ in 0..3 {
+                assert_eq!(sharded.infer(&request).unwrap().output, expected);
+                assert_eq!(sharded.pooled_state_sets(), 1);
+                assert_eq!(sharded.pooled_state_bytes(), warm, "{threads} threads: pool grew");
+            }
+        }
+    }
+
+    #[test]
     fn update_commit_clears_the_state_pool_and_reports_structure() {
         let (graph, model, weights, x) = setup(23);
         let reference = single(&graph, &model, &weights);

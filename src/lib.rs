@@ -137,7 +137,21 @@
 //! dense slabs indexed by the compact hub IDs. A single engine is the
 //! one-shard, no-halo case of this executor; with threads, its island
 //! chunks are claimed through the same fan-out seam the sharded fleet
-//! uses for its shards.
+//! uses for its shards, and the fleet pools its whole per-request state
+//! (shard arenas, hub feature gather, hub merge slabs) as one set.
+//!
+//! The window scan is **planned once per layout epoch**. Its decisions
+//! (skip, add the connected members, or reuse a pre-aggregated group
+//! minus the unconnected ones) depend only on the bitmaps, `k`,
+//! redundancy removal and whether the model's self term rides the
+//! bitmap diagonal — so [`core::consumer::plan::ScanPlan`] records, per
+//! island, the groups some row reuses (the only ones materialised) and,
+//! per bitmap row, a flat `(working row, ±1)` term list in the scan's
+//! window/member order, where working rows are the island's member
+//! vectors followed by its reused group sums. Engines build the plan on
+//! the first request after `build`, `prepare` or `apply_update` and
+//! cache it ([`core::consumer::plan::ScanPlanCache`], one per engine and
+//! per shard engine); the request path then does arithmetic only.
 //!
 //! The executor computes values only. `ExecStats` come from **one
 //! structural accountant** ([`core::consumer::account`]): it walks the
@@ -220,17 +234,29 @@
 //! branching; `igcn::simd::force_scalar(true)` pins the scalar path at
 //! runtime (the conformance suite's fallback sweep runs both and
 //! asserts equality). [`linalg::kernels`] builds the engine's kernels
-//! on top: `axpy_f32`, `scale_f32`, and the register-tiled,
-//! cache-blocked GEMM `gemm_blocked_into` that now powers
-//! [`linalg::DenseMatrix::matmul`].
+//! on top: the whole-row gather-accumulate `gather_axpy_f32`, `axpy_f32`,
+//! `scale_f32`, and the register-tiled, cache-blocked GEMM
+//! `gemm_blocked_into` that now powers [`linalg::DenseMatrix::matmul`].
+//!
+//! `gather_axpy_f32` computes `out[j] += Σ_i α_i · rows[idx_i·stride + j]`
+//! and is the island executor's only row kernel: a sparse combination
+//! row gathers the weight rows of its feature non-zeros, a dense one the
+//! weight rows of its non-zero activations (zeros skipped), and a scanned
+//! bitmap row the plan's working rows with `±1` coefficients. The AVX2
+//! body keeps up to four 8-lane accumulators in registers across all
+//! terms and covers a ragged last block (every width under 8, too) with
+//! a masked load/store; NEON uses 4-lane blocks and a scalar tail. One
+//! call per row replaces the one dispatched `axpy` per term the executor
+//! used to pay.
 //!
 //! **Why vectorization preserves bit-identity:** every kernel
 //! vectorizes across *feature columns* — independent output elements —
 //! and uses non-fused multiply-then-add (never FMA), so the per-element
 //! sequence of f32 roundings is exactly the scalar loop's sequence; no
-//! reduction is ever re-associated. The same argument covers the island
-//! aggregation's column-blocked replay and the GEMM's k-blocking (both
-//! reorder only across independent columns or keep per-element k-order).
+//! reduction is ever re-associated. The same argument covers the
+//! gather kernel (terms accumulate per element in list order, exactly
+//! as one `axpy` per term would) and the GEMM's k-blocking (per-element
+//! k-order is kept).
 //! Outputs and `ExecStats` are therefore bit-identical across scalar /
 //! AVX2 / NEON, at every thread and shard count — pinned by unit tests
 //! in `igcn-simd`/`igcn-linalg` and the conformance fallback sweep.
@@ -433,12 +459,13 @@
 //!   `X-IGCN-Trace` request header carries the request's trace ID (see
 //!   *Observability* below); every response echoes it.
 //! * **Length-prefixed binary** ([`gateway::wire`]) — `magic | version |
-//!   payload length | FNV-1a-64 checksum | trace id | payload` frames
+//!   payload length | XXH64 checksum | trace id | payload` frames
 //!   carrying raw IEEE-754 bits, the same framing conventions as
 //!   `igcn-store` snapshots. Readers accept exactly
-//!   [`gateway::wire::WIRE_VERSION`] (**2** since the trace-id header
-//!   field — version-1 frames fail fast with a typed message, per the
-//!   same compatibility policy as snapshots); a corrupt or
+//!   [`gateway::wire::WIRE_VERSION`] (**3** since the payload checksum
+//!   moved from byte-serial FNV-1a-64 to the stripe-parallel XXH64 —
+//!   version-1 and version-2 frames fail fast with a typed message, per
+//!   the same compatibility policy as snapshots); a corrupt or
 //!   mis-versioned frame is answered with a typed `Err` frame and the
 //!   connection closes. The trace id rides the *header*, outside
 //!   checksum coverage, so it is readable even when the payload is
